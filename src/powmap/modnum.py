@@ -8,6 +8,7 @@ desk scale; the factoring helper enforces n < 2**32.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +82,7 @@ class CrtBasis:
             raise ValueError("n must equal p*q")
 
     @classmethod
+    @functools.lru_cache(maxsize=None)
     def for_primes(cls, p: int, q: int) -> "CrtBasis":
         if p == q:
             raise InvalidPrime("p and q must differ")
@@ -117,10 +119,7 @@ def sqrtmod(a: int, p: int) -> tuple[int, ...]:
         while q % 2 == 0:
             q //= 2
             s += 1
-        z = 2
-        while pow(z, (p - 1) // 2, p) != p - 1:
-            z += 1
-        c = pow(z, q, p)
+        c = _unity_generator(1 << s, p)
         r = pow(a, (q + 1) // 2, p)
         t = pow(a, q, p)
         m = s
@@ -213,12 +212,15 @@ def _prime_factors(t: int) -> list[int]:
     return out
 
 
-def _unity_root(ell: int, p: int) -> int:
-    """An element of exact order ell mod p; requires ell | p-1."""
-    z = 2
-    while pow(z, (p - 1) // ell, p) == 1:
-        z += 1
-    return pow(z, (p - 1) // ell, p)
+@functools.lru_cache(maxsize=None)
+def _unity_generator(d: int, p: int) -> int:
+    """An element of exact order d mod the prime p, for d | p-1: the first
+    g = z**((p-1)/d), z = 1, 2, ..., with g**(d/l) != 1 for each prime l | d."""
+    for z in range(1, p):
+        g = pow(z, (p - 1) // d, p)
+        if all(pow(g, d // ell, p) != 1 for ell in _prime_factors(d)):
+            return g
+    raise InvalidPrime(f"no element of order {d} mod {p}: not a prime with {d} | {p}-1")
 
 
 def _prime_degree_root(c: int, ell: int, p: int) -> int | None:
@@ -238,10 +240,7 @@ def _prime_degree_root(c: int, ell: int, p: int) -> int | None:
     while q % ell == 0:
         q //= ell
         s += 1
-    z = 2
-    while pow(z, n1 // ell, p) == 1:
-        z += 1
-    g = pow(z, q, p)
+    g = _unity_generator(ell**s, p)
     gamma = pow(g, ell ** (s - 1), p)
     big_k = pow(c, q, p)
     e = 0
@@ -290,7 +289,7 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
         r0 = _prime_degree_root(val, ell, p)
         if r0 is None:
             return None
-        zeta = _unity_root(ell, p)
+        zeta = _unity_generator(ell, p)
         for r in sorted(r0 * pow(zeta, j, p) % p for j in range(ell)):
             out = descend(r, i + 1)
             if out is not None:

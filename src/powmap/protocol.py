@@ -17,6 +17,9 @@ from .transform import DivClass, Packet, Params
 PACKET_FIELDS = ("t", "n", "c", "rank")
 MODULUS_BOUND = 2**32
 T_BOUND = 12
+MAX_LINE = 256  # a canonical packet is at most about 50 characters
+# Objects decode to tuples of pairs, so duplicate fields stay visible; built once, not per call.
+_DECODER = json.JSONDecoder(object_pairs_hook=tuple)
 
 
 def serialize_packet(pkt: Packet) -> str:
@@ -43,20 +46,25 @@ def validate_packet_fields(t: int, n: int, c: int, rank: int) -> Packet:
 def parse_packet(line: str | bytes) -> Packet:
     """Inverse of serialize_packet: whitespace-tolerant, otherwise strict.
 
-    Structural problems raise MalformedPacket (with the offending position
-    when available); integer fields outside their domain raise
-    FieldOutOfRange.
+    Structural problems, over-long lines and duplicate fields among them,
+    raise MalformedPacket (with the offending position when available);
+    integer fields outside their domain raise FieldOutOfRange.
     """
+    if len(line) > MAX_LINE:
+        raise MalformedPacket(f"packet longer than {MAX_LINE} characters")
     if isinstance(line, bytes):
         try:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise MalformedPacket(f"not UTF-8: {exc}") from exc
     try:
-        obj = json.loads(line)
+        pairs = _DECODER.decode(line)
     except json.JSONDecodeError as exc:
         raise MalformedPacket(f"invalid packet at position {exc.pos}: {exc.msg}") from exc
-    if not isinstance(obj, dict) or set(obj) != set(PACKET_FIELDS):
+    except (ValueError, RecursionError) as exc:
+        raise MalformedPacket(f"invalid packet: {exc}") from exc
+    obj = dict(pairs) if isinstance(pairs, tuple) else {}
+    if set(obj) != set(PACKET_FIELDS) or len(obj) != len(pairs):
         raise MalformedPacket(f"packet must be one object with exactly the fields {PACKET_FIELDS}")
     for name in PACKET_FIELDS:
         if isinstance(obj[name], bool) or not isinstance(obj[name], int):

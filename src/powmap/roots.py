@@ -1,12 +1,12 @@
-"""Roots of unity mod n.
-
-The brute-force scan is the canonical constructor; the closed-form
-radical constructions for degrees 5 and 6 are cross-checks against it.
-Semiprime root sets are built by CRT-lifting the per-factor sets.
+"""Roots of unity mod n, in closed form: mod a prime p they are the powers
+of one element of order d = gcd(t, p-1), and semiprime sets CRT-lift the
+per-factor sets.  The brute-force scan and the paper's radical
+constructions for degrees 5 and 6 are kept as oracles to check against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import modnum
@@ -104,8 +104,16 @@ def eligible_generators(rs: RootSet) -> list[int]:
     return [r for r in rs.roots if rs.orders[r] == rs.t]
 
 
+def _prime_root_set(t: int, p: int) -> RootSet:
+    d = math.gcd(t, p - 1)
+    g = modnum._unity_generator(d, p)
+    return _with_orders(p, t, {pow(g, k, p) for k in range(d)})
+
+
 def root_set(t: int, p: int, q: int | None = None) -> RootSet:
-    """The full root set for x**t ≡ 1 mod p (or mod p*q when q is given)."""
+    """The full root set for x**t ≡ 1 mod the prime p (or mod p*q for a prime q)."""
+    if not 1 <= t <= 12:
+        raise ValueError(f"t must be in 1..12, got {t}")
     if q is None:
-        return roots_bruteforce(t, p)
-    return lift_roots(roots_bruteforce(t, p), roots_bruteforce(t, q))
+        return _prime_root_set(t, p)
+    return lift_roots(_prime_root_set(t, p), _prime_root_set(t, q))

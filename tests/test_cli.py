@@ -44,6 +44,11 @@ class TestTextCommands:
         code, out, _ = run_cli(capsys, "decode", "--t", "5", "--n", "341", "--c", "87", "--rank", "5")
         assert code == 0 and out == "51\n"
 
+    def test_decode_at_largest_prime_below_2_32(self, capsys):
+        # 1988663416 == pow(123456789, 5, 4294967291)
+        code, out, _ = run_cli(capsys, "decode", "--t", "5", "--n", "4294967291", "--c", "1988663416", "--rank", "1")
+        assert code == 0 and out == "123456789\n"
+
     def test_table_matches_golden_bytes(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--t", "5", "--p", "61", "--alpha", "9")
         assert code == 0

@@ -109,6 +109,14 @@ class TestCrt:
         with pytest.raises(ValueError):
             CrtBasis(11, 17, 3, 14, 187)  # 17*3 mod 11 != 1
 
+    def test_basis_cached_but_errors_not(self):
+        from powmap import InvalidPrime
+
+        assert CrtBasis.for_primes(31, 13) is CrtBasis.for_primes(31, 13)
+        for _ in range(2):
+            with pytest.raises(InvalidPrime):
+                CrtBasis.for_primes(11, 15)
+
 
 class TestSqrtmod:
     def test_worked_values(self):

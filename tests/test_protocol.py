@@ -74,6 +74,20 @@ class TestParsePacket:
         with pytest.raises(FieldOutOfRange):
             parse_packet(line)
 
+    def test_deep_nesting_is_malformed(self):
+        with pytest.raises(MalformedPacket):
+            parse_packet("[" * 100000)
+        with pytest.raises(MalformedPacket):
+            parse_packet("[" * 1024)
+
+    def test_huge_field_is_malformed(self):
+        with pytest.raises(MalformedPacket):
+            parse_packet('{"t":5,"n":61,"c":' + "1" * 5000 + ',"rank":3}')
+
+    def test_duplicate_field_is_malformed(self):
+        with pytest.raises(MalformedPacket):
+            parse_packet('{"t":5,"t":6,"n":61,"c":11,"rank":3}')
+
     def test_rank_capped_at_t_squared_before_decode(self):
         # rank 25 parses for t=5 (it is within t**2) even though a prime
         # modulus session would later reject it as out of range.

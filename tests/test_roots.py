@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from powmap import (
@@ -129,3 +131,26 @@ class TestEligibleGenerators:
             for alpha in eligible_generators(rs):
                 powers = {pow(alpha, i, rs.modulus) for i in range(rs.t)}
                 assert len(powers) == rs.t
+
+
+class TestClosedForm:
+    def test_matches_bruteforce_for_every_small_prime(self):
+        for p in primes_below(2000)[1:]:
+            for t in range(1, 13):
+                assert root_set(t, p) == roots_bruteforce(t, p), (t, p)
+
+    @pytest.mark.parametrize("t", range(2, 13))
+    def test_semiprimes_match_lifted_bruteforce(self, t):
+        for p, q in ((3, 5), (7, 13), (11, 31), (37, 73), (61, 109)):
+            lifted = lift_roots(roots_bruteforce(t, p), roots_bruteforce(t, q))
+            assert root_set(t, p, q) == lifted, (t, p, q)
+
+    def test_large_prime(self):
+        p = 4294967291  # the largest prime below 2**32; p-1 = 2 * 5 * 19 * 22605091
+        rs = root_set(5, p)
+        assert len(rs.roots) == 5 == math.gcd(5, p - 1)
+        assert all(pow(r, 5, p) == 1 for r in rs.roots)
+
+    def test_bounds(self):
+        with pytest.raises(ValueError):
+            root_set(13, 61)
