@@ -32,9 +32,7 @@ from .modnum import (
     invmod,
     is_prime,
     nth_root_mod_prime,
-    powmod,
     sqrtmod,
-    xgcd,
 )
 from .protocol import Transcript, parse_packet, run_session, serialize_packet
 from .roots import (
@@ -104,7 +102,6 @@ __all__ = [
     "multiplicity_report",
     "nth_root_mod_prime",
     "parse_packet",
-    "powmod",
     "quintic_roots_prime",
     "root_set",
     "roots_bruteforce",
@@ -112,5 +109,4 @@ __all__ = [
     "serialize_packet",
     "sextic_roots_prime",
     "sqrtmod",
-    "xgcd",
 ]

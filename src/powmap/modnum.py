@@ -1,9 +1,9 @@
 """Exact modular arithmetic kernel.
 
-Everything here is a pure function of its arguments: exponentiation,
-inverses, CRT recombination, modular square roots, prime-degree roots,
-multiplicative orders and desk-scale factoring.  Moduli are assumed to be
-desk scale; the factoring helper enforces n < 2**32.
+Everything here is a pure function of its arguments: inverses, CRT
+recombination, modular square roots, prime-degree roots, multiplicative
+orders and desk-scale factoring.  Moduli are assumed to be desk scale;
+the factoring helper enforces n < 2**32.
 """
 
 from __future__ import annotations
@@ -24,41 +24,14 @@ from .errors import (
 FACTOR_BOUND = 2**32
 
 
-def powmod(base: int, exp: int, modulus: int) -> int:
-    """Square-and-multiply base**exp mod modulus; exp = 0 gives 1."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if exp < 0:
-        raise ValueError(f"exponent must be >= 0, got {exp}")
-    base %= modulus
-    out = 1
-    while exp:
-        if exp & 1:
-            out = out * base % modulus
-        base = base * base % modulus
-        exp >>= 1
-    return out
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b), for a, b >= 0."""
-    x0, x1, y0, y1 = 0, 1, 1, 0
-    while a != 0:
-        q, b, a = b // a, a, b % a
-        y0, y1 = y1, y0 - q * y1
-        x0, x1 = x1, x0 - q * x1
-    return b, x0, y0
-
-
 def invmod(a: int, modulus: int) -> int:
     """The b with a*b ≡ 1 (mod modulus); NotInvertible when gcd(a, modulus) > 1."""
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    a %= modulus
-    g, x, _ = xgcd(a, modulus)
-    if g != 1:
-        raise NotInvertible(f"gcd({a}, {modulus}) = {g}")
-    return x % modulus
+    try:
+        return pow(a, -1, modulus)
+    except ValueError:
+        raise NotInvertible(f"gcd({a % modulus}, {modulus}) = {math.gcd(a, modulus)}") from None
 
 
 @dataclass(frozen=True)
@@ -98,41 +71,21 @@ def crt_pair(r_p: int, r_q: int, basis: CrtBasis) -> int:
 
 
 def sqrtmod(a: int, p: int) -> tuple[int, ...]:
-    """Square roots of a modulo an odd prime p, by Tonelli-Shanks.
+    """Square roots of a modulo an odd prime p, by the prime-degree root routine.
 
     Returns the pair (r, p-r) sorted ascending for a quadratic residue,
     (0,) for a ≡ 0, and () for a non-residue (a normal outcome, not an
-    error).  The auxiliary non-residue is the smallest one found by
-    ascending scan, so results are deterministic.
+    error).  The pair does not depend on which root is found first, so
+    results are deterministic.
     """
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be an odd prime, got {p}")
     a %= p
     if a == 0:
         return (0,)
-    if pow(a, (p - 1) // 2, p) != 1:
+    r = _prime_degree_root(a, 2, p)
+    if r is None:
         return ()
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
-        c = _unity_generator(1 << s, p)
-        r = pow(a, (q + 1) // 2, p)
-        t = pow(a, q, p)
-        m = s
-        while t != 1:
-            t2i, i = t, 0
-            while t2i != 1:
-                t2i = t2i * t2i % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            r = r * b % p
-            c = b * b % p
-            t = t * c % p
-            m = i
     return (r, p - r) if r < p - r else (p - r, r)
 
 
@@ -224,40 +177,42 @@ def _unity_generator(d: int, p: int) -> int:
 
 
 def _prime_degree_root(c: int, ell: int, p: int) -> int | None:
-    """One ell-th root of c mod p for prime ell dividing p-1; None if no root.
+    """One ell-th root of c mod the prime p, for any prime ell; None if no root.
 
-    ell = 2 delegates to Tonelli-Shanks and keeps the smaller root.  Odd
-    ell peels the ell-Sylow subgroup: read off the base-ell digits of the
-    discrete log of c**q against a generator of the Sylow subgroup, then
-    assemble the root from an inverse exponent on the ell-free part.
+    Write p-1 = ell**s * q with ell not dividing q.  When s <= 1, c**q = 1
+    for every ell-th power c (for s = 0 every unit is one), so
+    c**(ell^{-1} mod q) is a root.  Otherwise this is the
+    Adleman-Manders-Miller method: peel the ell-Sylow subgroup by reading
+    off the base-ell digits of the discrete log of c**q against a
+    generator of the Sylow subgroup, then correct that first guess by a
+    power of the generator.
     """
-    n1 = p - 1
-    if pow(c, n1 // ell, p) != 1:
-        return None
-    if ell == 2:
-        return sqrtmod(c, p)[0]
-    s, q = 0, n1
+    s, q = 0, p - 1
     while q % ell == 0:
         q //= ell
         s += 1
-    g = _unity_generator(ell**s, p)
-    gamma = pow(g, ell ** (s - 1), p)
-    big_k = pow(c, q, p)
-    e = 0
-    for i in range(s):
-        h = big_k * invmod(pow(g, e, p), p) % p
-        d = pow(h, ell ** (s - 1 - i), p)
-        for digit in range(ell):
-            if pow(gamma, digit, p) == d:
-                break
-        else:
-            raise FormulaFailure(f"digit extraction failed mod {p}; modulus not prime?")
-        e += digit * ell**i
-    # c is an ell-th power, so ell | e.
-    a = invmod(ell, q) if q > 1 else 0
-    k = (a * ell - 1) // q
-    b = (-(e // ell) * k) % ell ** (s - 1) if s > 1 else 0
-    x = pow(c, a, p) * pow(g, b, p) % p
+    if s and pow(c, (p - 1) // ell, p) != 1:
+        return None
+    a = pow(ell, -1, q)
+    x = pow(c, a, p)
+    if s > 1:
+        g = _unity_generator(ell**s, p)
+        gamma = pow(g, ell ** (s - 1), p)
+        big_k = pow(c, q, p)
+        e = 0
+        for i in range(s):
+            h = big_k * pow(g, -e, p) % p
+            d = pow(h, ell ** (s - 1 - i), p)
+            for digit in range(ell):
+                if pow(gamma, digit, p) == d:
+                    break
+            else:
+                raise FormulaFailure(f"digit extraction failed mod {p}; modulus not prime?")
+            e += digit * ell**i
+        # c is an ell-th power, so ell | e.
+        k = (a * ell - 1) // q
+        b = (-(e // ell) * k) % ell ** (s - 1)
+        x = x * pow(g, b, p) % p
     if pow(x, ell, p) != c:
         raise FormulaFailure(f"{x}**{ell} != {c} (mod {p})")
     return x
@@ -284,13 +239,12 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
         if i == len(ells):
             return val
         ell = ells[i]
-        if (p - 1) % ell != 0:
-            return descend(pow(val, invmod(ell, p - 1), p), i + 1)
         r0 = _prime_degree_root(val, ell, p)
         if r0 is None:
             return None
-        zeta = _unity_generator(ell, p)
-        for r in sorted(r0 * pow(zeta, j, p) % p for j in range(ell)):
+        d = math.gcd(ell, p - 1)
+        zeta = _unity_generator(d, p)
+        for r in sorted(r0 * pow(zeta, j, p) % p for j in range(d)):
             out = descend(r, i + 1)
             if out is not None:
                 return out

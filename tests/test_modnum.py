@@ -8,60 +8,18 @@ from powmap import (
     NotDivisor,
     NotInvertible,
     NotSupported,
+    PowmapError,
     crt_pair,
     element_order,
     factor_semiprime,
     invmod,
     is_prime,
     nth_root_mod_prime,
-    powmod,
     sqrtmod,
-    xgcd,
 )
 
 
-class TestPowmod:
-    def test_worked_values(self):
-        assert powmod(28, 5, 61) == 11
-        assert powmod(59, 6, 403) == 233
-
-    def test_identity_exponent(self):
-        for n in (7, 61, 187, 403):
-            for x in range(n):
-                assert powmod(x, 1, n) == x
-
-    def test_zero_exponent_gives_one(self):
-        assert powmod(5, 0, 13) == 1
-        assert powmod(0, 0, 13) == 1
-
-    def test_matches_builtin_pow(self):
-        for base in range(0, 50, 7):
-            for exp in range(0, 20):
-                for mod in (2, 3, 61, 187, 4097):
-                    assert powmod(base, exp, mod) == pow(base, exp, mod)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            powmod(2, 3, 1)
-        with pytest.raises(ValueError):
-            powmod(2, -1, 5)
-
-    def test_euler_fermat(self):
-        # a**phi(n) == 1 for every unit; phi from the factorization.
-        for n, phi in ((61, 60), (187, 160), (341, 300), (403, 360)):
-            for a in range(1, n):
-                if math.gcd(a, n) == 1:
-                    assert powmod(a, phi, n) == 1
-
-
 class TestXgcdInvmod:
-    def test_xgcd_identity(self):
-        for a in range(0, 40, 3):
-            for b in range(0, 40, 5):
-                g, x, y = xgcd(a, b)
-                assert a * x + b * y == g
-                assert g == math.gcd(a, b)
-
     def test_worked_inverses(self):
         assert invmod(17, 11) == 2
         assert invmod(1, 187) == 1
@@ -132,7 +90,7 @@ class TestSqrtmod:
     def test_non_residue_is_empty(self):
         assert sqrtmod(3, 7) == ()
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 13, 43, 61, 97, 101, 193])
+    @pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 43, 61, 97, 101, 193, 257, 7681])
     def test_square_back_and_count(self, p):
         squares = {x * x % p for x in range(1, p)}
         for a in range(p):
@@ -149,6 +107,12 @@ class TestSqrtmod:
     def test_rejects_even_modulus(self):
         with pytest.raises(ValueError):
             sqrtmod(1, 4)
+
+    def test_odd_composite_fails_fast(self):
+        # Each passes Euler's criterion, so only the root routine can notice.
+        for a, n in ((8, 21), (2, 561), (2, 1729), (2, 1105)):
+            with pytest.raises(PowmapError):
+                sqrtmod(a, n)
 
 
 class TestElementOrder:
@@ -203,7 +167,10 @@ class TestFactorSemiprime:
 
 
 class TestNthRootModPrime:
-    @pytest.mark.parametrize("p,t", [(31, 6), (13, 6), (43, 6), (61, 5), (11, 5), (97, 6), (13, 4), (19, 9), (7, 12), (29, 8)])
+    @pytest.mark.parametrize("p,t", [
+        (31, 6), (13, 6), (43, 6), (61, 5), (11, 5), (97, 6), (13, 4), (19, 9), (7, 12), (29, 8),
+        (11, 3), (23, 12), (251, 5), (163, 9),
+    ])
     def test_root_found_iff_exists(self, p, t):
         # Oracle: the set of t-th powers by full enumeration.
         powers = {pow(x, t, p) for x in range(p)}
@@ -220,3 +187,16 @@ class TestNthRootModPrime:
     def test_zero_and_degree_one(self):
         assert nth_root_mod_prime(0, 6, 13) == 0
         assert nth_root_mod_prime(9, 1, 13) == 9
+
+
+def test_roots_agree_with_sympy():
+    residue = pytest.importorskip("sympy.ntheory.residue_ntheory")
+    primes = [p for p in range(3, 600) if is_prime(p)]
+    for p in primes:
+        for a in range(p):
+            assert sqrtmod(a, p) == tuple(sorted(residue.sqrt_mod(a, p, all_roots=True)))
+    # Primes below 100, plus ones whose p-1 carries 3**3, 3**4, 7**2 and 2**8.
+    for p in [p for p in primes if p < 100] + [109, 163, 197, 257]:
+        for t in range(2, 13):
+            for c in range(p):
+                assert (nth_root_mod_prime(c, t, p) is None) == (not residue.is_nthpow_residue(c, t, p))
