@@ -181,6 +181,27 @@ class TestNthRootModPrime:
             else:
                 assert r is None
 
+    def test_root_choice_is_lexicographic_minimum(self):
+        # Oracle: with the prime factors of t ascending, l0 <= l1 <= ..., the
+        # root returned is the one whose (x**(t/l0), x**(t/(l0*l1)), ..., x)
+        # is smallest, found here among all roots by full scan.
+        for t in range(1, 13):
+            ells, rest = [], t
+            for f in (2, 3, 5, 7, 11):
+                while rest % f == 0:
+                    ells.append(f)
+                    rest //= f
+            exps = [t // math.prod(ells[:i + 1]) for i in range(len(ells))]
+            for p in (p for p in range(2, 200) if is_prime(p)):
+                best = {}
+                for x in range(1, p):
+                    c = pow(x, t, p)
+                    key = tuple(pow(x, e, p) for e in exps)
+                    if c not in best or key < best[c][0]:
+                        best[c] = (key, x)
+                for c, (_, x) in best.items():
+                    assert nth_root_mod_prime(c, t, p) == x, (c, t, p)
+
     def test_deterministic(self):
         assert nth_root_mod_prime(12, 6, 13) == nth_root_mod_prime(12, 6, 13)
 
