@@ -1,7 +1,7 @@
 """Exact modular arithmetic kernel.
 
 Everything here is a pure function of its arguments: inverses, CRT
-recombination, modular square roots, prime-degree roots, multiplicative
+recombination, modular square and t-th roots, multiplicative
 orders and desk-scale factoring.  Moduli are assumed to be desk scale;
 the factoring helper enforces n < 2**32.
 """
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    FormulaFailure,
     InvalidPrime,
     NotCoprime,
     NotDivisor,
@@ -71,7 +70,7 @@ def crt_pair(r_p: int, r_q: int, basis: CrtBasis) -> int:
 
 
 def sqrtmod(a: int, p: int) -> tuple[int, ...]:
-    """Square roots of a modulo an odd prime p, by the prime-degree root routine.
+    """Square roots of a modulo an odd prime p, from nth_root_mod_prime.
 
     Returns the pair (r, p-r) sorted ascending for a quadratic residue,
     (0,) for a ≡ 0, and () for a non-residue (a normal outcome, not an
@@ -83,10 +82,8 @@ def sqrtmod(a: int, p: int) -> tuple[int, ...]:
     a %= p
     if a == 0:
         return (0,)
-    r = _prime_degree_root(a, 2, p)
-    if r is None:
-        return ()
-    return (r, p - r) if r < p - r else (p - r, r)
+    r = nth_root_mod_prime(a, 2, p)  # the smaller of the two roots
+    return () if r is None else (r, p - r)
 
 
 def _divisors(t: int) -> list[int]:
@@ -176,55 +173,64 @@ def _unity_generator(d: int, p: int) -> int:
     raise InvalidPrime(f"no element of order {d} mod {p}: not a prime with {d} | {p}-1")
 
 
-def _prime_degree_root(c: int, ell: int, p: int) -> int | None:
-    """One ell-th root of c mod the prime p, for any prime ell; None if no root.
+def _group_by_powers(units: list[int], exps: tuple[int, ...], p: int) -> dict:
+    """Nested {u**exps[0]: {u**exps[1]: ...}} over units, one level per exponent."""
+    if not exps:
+        return {}
+    groups: dict[int, list[int]] = {}
+    for u in units:
+        groups.setdefault(pow(u, exps[0], p), []).append(u)
+    return {v: _group_by_powers(us, exps[1:], p) for v, us in groups.items()}
 
-    Write p-1 = ell**s * q with ell not dividing q.  When s <= 1, c**q = 1
-    for every ell-th power c (for s = 0 every unit is one), so
-    c**(ell^{-1} mod q) is a root.  Otherwise this is the
-    Adleman-Manders-Miller method: peel the ell-Sylow subgroup by reading
-    off the base-ell digits of the discrete log of c**q against a
-    generator of the Sylow subgroup, then correct that first guess by a
-    power of the generator.
+
+@functools.lru_cache(maxsize=None)
+def _root_plan(t: int, p: int) -> tuple:
+    """What a t-th root mod the prime p needs that does not depend on the cipher.
+
+    Write p-1 = A*B with A made only of primes dividing t.  Returns
+    (b_exp, sylow, exps, unity):
+    - c**b_exp is a t-th root of the part of c whose order divides B;
+    - sylow has one entry (ell, s, m, g_inv, table, gw, ell**k) per prime
+      ell | t with ell**s || p-1 and ell**k || t, s > k: g generates the
+      ell-Sylow subgroup, m = (p-1)/ell**s, table = {gamma**j: j} for
+      gamma = g**(ell**(s-1)), and gw = g**w with w the inverse of
+      m*t/ell**k mod ell**(s-k);
+    - exps = (t/l0, t/(l0*l1), ..., 1) for the prime factors l0 <= l1 <= ...
+      of t, and unity = the gcd(t, p-1) roots of unity grouped by those powers.
     """
-    s, q = 0, p - 1
-    while q % ell == 0:
-        q //= ell
-        s += 1
-    if s and pow(c, (p - 1) // ell, p) != 1:
-        return None
-    a = pow(ell, -1, q)
-    x = pow(c, a, p)
-    if s > 1:
-        g = _unity_generator(ell**s, p)
-        gamma = pow(g, ell ** (s - 1), p)
-        big_k = pow(c, q, p)
-        e = 0
-        for i in range(s):
-            h = big_k * pow(g, -e, p) % p
-            d = pow(h, ell ** (s - 1 - i), p)
-            for digit in range(ell):
-                if pow(gamma, digit, p) == d:
-                    break
-            else:
-                raise FormulaFailure(f"digit extraction failed mod {p}; modulus not prime?")
-            e += digit * ell**i
-        # c is an ell-th power, so ell | e.
-        k = (a * ell - 1) // q
-        b = (-(e // ell) * k) % ell ** (s - 1)
-        x = x * pow(g, b, p) % p
-    if pow(x, ell, p) != c:
-        raise FormulaFailure(f"{x}**{ell} != {c} (mod {p})")
-    return x
+    if not is_prime(p):
+        raise InvalidPrime(f"{p} is not prime")
+    ells = _prime_factors(t)
+    a_part, sylow = 1, []
+    for ell in sorted(set(ells)):
+        k, s, m = ells.count(ell), 0, p - 1
+        while m % ell == 0:
+            m //= ell
+            s += 1
+        a_part *= ell**s
+        if s > k:
+            g = _unity_generator(ell**s, p)
+            gamma = pow(g, ell ** (s - 1), p)
+            table = {pow(gamma, j, p): j for j in range(ell)}
+            w = pow(m * t // ell**k, -1, ell ** (s - k))
+            sylow.append((ell, s, m, pow(g, -1, p), table, pow(g, w, p), ell**k))
+    b_exp = a_part * pow(a_part * t, -1, (p - 1) // a_part)
+    exps = tuple(t // math.prod(ells[: i + 1]) for i in range(len(ells)))
+    d = math.gcd(t, p - 1)
+    zeta = _unity_generator(d, p)
+    unity = _group_by_powers([pow(zeta, j, p) for j in range(d)], exps, p)
+    return b_exp, tuple(sylow), exps, unity
 
 
 def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
     """Some x with x**t ≡ c (mod p) for prime p and 1 <= t <= 12, or None.
 
-    t is peeled one prime factor at a time; when an intermediate choice of
-    root dead-ends, the other members of its coset (the root times the
-    ell-th roots of unity) are tried, so a root is found whenever one
-    exists.  Fully deterministic.
+    One root comes from the cached per-key plan (_root_plan): one pow for
+    the part of the group prime to t, and for each Sylow subgroup the
+    Pohlig-Hellman digits of a discrete log, read by dict lookup
+    (Adleman-Manders-Miller).  The root returned is fixed: among all roots
+    x, the one whose (x**(t/l0), x**(t/(l0*l1)), ..., x) is least, for the
+    prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p.
     """
     if not 1 <= t <= 12:
         raise ValueError(f"t must be in 1..12, got {t}")
@@ -233,21 +239,19 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
         return 0
     if t == 1 or p == 2:
         return c
-    ells = _prime_factors(t)
-
-    def descend(val: int, i: int) -> int | None:
-        if i == len(ells):
-            return val
-        ell = ells[i]
-        r0 = _prime_degree_root(val, ell, p)
-        if r0 is None:
-            return None
-        d = math.gcd(ell, p - 1)
-        zeta = _unity_generator(d, p)
-        for r in sorted(r0 * pow(zeta, j, p) % p for j in range(d)):
-            out = descend(r, i + 1)
-            if out is not None:
-                return out
+    b_exp, sylow, exps, unity = _root_plan(t, p)
+    x = pow(c, b_exp, p)
+    for ell, s, m, g_inv, table, gw, ell_k in sylow:
+        h, e = pow(c, m, p), 0
+        for j in range(s):
+            e += table[pow(h * pow(g_inv, e, p) % p, ell ** (s - 1 - j), p)] * ell**j
+        # When ell**k does not divide e, c has no root and the check below fails.
+        x = x * pow(gw, e // ell_k, p) % p
+    if pow(x, t, p) != c:
         return None
-
-    return descend(c, 0)
+    node = unity
+    for e in exps:
+        xe = pow(x, e, p)
+        zeta = min(node, key=lambda z: xe * z % p)
+        node = node[zeta]
+    return x * zeta % p

@@ -27,10 +27,13 @@ class RootSet:
     orders: dict[int, int]
 
 
+def _from_orders(modulus: int, t: int, orders: dict[int, int]) -> RootSet:
+    roots = tuple(sorted(orders))
+    return RootSet(modulus, t, roots, {r: orders[r] for r in roots})
+
+
 def _with_orders(modulus: int, t: int, values) -> RootSet:
-    roots = tuple(sorted(values))
-    orders = {r: modnum.element_order(r, modulus, t) for r in roots}
-    return RootSet(modulus, t, roots, orders)
+    return _from_orders(modulus, t, {r: modnum.element_order(r, modulus, t) for r in values})
 
 
 def roots_bruteforce(t: int, modulus: int) -> RootSet:
@@ -94,8 +97,10 @@ def lift_roots(rs_p: RootSet, rs_q: RootSet) -> RootSet:
     if rs_p.t != rs_q.t:
         raise ValueError(f"exponents differ: {rs_p.t} vs {rs_q.t}")
     basis = modnum.CrtBasis.for_primes(rs_p.modulus, rs_q.modulus)
-    vals = {modnum.crt_pair(a, b, basis) for a in rs_p.roots for b in rs_q.roots}
-    return _with_orders(basis.n, rs_p.t, vals)
+    # A CRT pair's order is the lcm of its two factors' orders.
+    orders = {modnum.crt_pair(a, b, basis): math.lcm(rs_p.orders[a], rs_q.orders[b])
+              for a in rs_p.roots for b in rs_q.roots}
+    return _from_orders(basis.n, rs_p.t, orders)
 
 
 def eligible_generators(rs: RootSet) -> list[int]:
@@ -107,7 +112,8 @@ def eligible_generators(rs: RootSet) -> list[int]:
 def _prime_root_set(t: int, p: int) -> RootSet:
     d = math.gcd(t, p - 1)
     g = modnum._unity_generator(d, p)
-    return _with_orders(p, t, {pow(g, k, p) for k in range(d)})
+    # g has order d, so g**k has order d / gcd(k, d).
+    return _from_orders(p, t, {pow(g, k, p): d // math.gcd(k, d) for k in range(d)})
 
 
 def root_set(t: int, p: int, q: int | None = None) -> RootSet:

@@ -4,6 +4,7 @@ import pytest
 
 from powmap import (
     CrtBasis,
+    InvalidPrime,
     NotCoprime,
     NotDivisor,
     NotInvertible,
@@ -107,6 +108,15 @@ class TestSqrtmod:
     def test_rejects_even_modulus(self):
         with pytest.raises(ValueError):
             sqrtmod(1, 4)
+
+    def test_composite_modulus_is_refused(self):
+        # Each used to give an incomplete answer without an error.
+        with pytest.raises(InvalidPrime):
+            sqrtmod(4, 15)  # 2*2 ≡ 4, yet () came back
+        with pytest.raises(InvalidPrime):
+            sqrtmod(1, 15)  # (1, 14) came back, missing 4 and 11
+        with pytest.raises(InvalidPrime):
+            nth_root_mod_prime(4, 2, 15)  # None came back
 
     def test_odd_composite_fails_fast(self):
         # Each passes Euler's criterion, so only the root routine can notice.

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from powmap import (
+    element_order,
     eligible_generators,
     lift_roots,
     quintic_roots_prime,
@@ -144,6 +145,17 @@ class TestClosedForm:
         for p, q in ((3, 5), (7, 13), (11, 31), (37, 73), (61, 109)):
             lifted = lift_roots(roots_bruteforce(t, p), roots_bruteforce(t, q))
             assert root_set(t, p, q) == lifted, (t, p, q)
+
+    def test_agrees_with_sympy(self):
+        residue = pytest.importorskip("sympy.ntheory.residue_ntheory")
+        keys = [(p, None) for p in primes_below(300)[1:]] + [(11, 31), (37, 73), (61, 109)]
+        for p, q in keys:
+            n = p if q is None else p * q
+            for t in range(1, 13):
+                rs = root_set(t, p, q)
+                assert list(rs.roots) == sorted(residue.nthroot_mod(1, t, n, all_roots=True))
+                for r in rs.roots:
+                    assert rs.orders[r] == residue.n_order(r, n) == element_order(r, n, t)
 
     def test_large_prime(self):
         p = 4294967291  # the largest prime below 2**32; p-1 = 2 * 5 * 19 * 22605091
