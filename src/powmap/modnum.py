@@ -250,8 +250,8 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
     if pow(x, t, p) != c:
         return None
     node = unity
-    for e in exps:
-        xe = pow(x, e, p)
-        zeta = min(node, key=lambda z: xe * z % p)
+    for power in exps:
+        xp = pow(x, power, p)
+        zeta = min(node, key=lambda z: xp * z % p)
         node = node[zeta]
     return x * zeta % p
