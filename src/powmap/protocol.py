@@ -23,11 +23,8 @@ _DECODER = json.JSONDecoder(object_pairs_hook=tuple)
 
 
 def serialize_packet(pkt: Packet) -> str:
-    """One line of wire text: {"t":5,"n":61,"c":11,"rank":3} plus newline."""
-    return json.dumps(
-        {"t": pkt.t, "n": pkt.n, "c": pkt.c, "rank": pkt.rank},
-        separators=(",", ":"),
-    ) + "\n"
+    """One line of wire text: {"t":5,"n":61,"c":11,"rank":3} plus newline; non-integers raise."""
+    return f'{{"t":{pkt.t:d},"n":{pkt.n:d},"c":{pkt.c:d},"rank":{pkt.rank:d}}}\n'
 
 
 def validate_packet_fields(t: int, n: int, c: int, rank: int) -> Packet:
@@ -52,24 +49,19 @@ def parse_packet(line: str | bytes) -> Packet:
     """
     if len(line) > MAX_LINE:
         raise MalformedPacket(f"packet longer than {MAX_LINE} characters")
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedPacket(f"not UTF-8: {exc}") from exc
     try:
-        pairs = _DECODER.decode(line)
+        pairs = _DECODER.decode(line.decode("utf-8") if isinstance(line, bytes) else line)
     except json.JSONDecodeError as exc:
         raise MalformedPacket(f"invalid packet at position {exc.pos}: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError among them
         raise MalformedPacket(f"invalid packet: {exc}") from exc
-    obj = dict(pairs) if isinstance(pairs, tuple) else {}
-    if set(obj) != set(PACKET_FIELDS) or len(obj) != len(pairs):
+    obj = dict(pairs) if type(pairs) is tuple else {}
+    if obj.keys() != set(PACKET_FIELDS) or len(obj) != len(pairs):
         raise MalformedPacket(f"packet must be one object with exactly the fields {PACKET_FIELDS}")
     for name in PACKET_FIELDS:
-        if isinstance(obj[name], bool) or not isinstance(obj[name], int):
+        if type(obj[name]) is not int:  # refuses bool too
             raise MalformedPacket(f"field {name!r} must be an integer")
-    return validate_packet_fields(*(obj[name] for name in PACKET_FIELDS))
+    return validate_packet_fields(obj["t"], obj["n"], obj["c"], obj["rank"])
 
 
 @dataclass(frozen=True)

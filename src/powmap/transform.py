@@ -155,27 +155,35 @@ def extract_root(c: int, params: Params) -> int:
 
 
 def candidate_set(x: int, rs: RootSet) -> list[int]:
-    """Ascending distinct {x*r mod n : r in root set}, the decode search space.
+    """Ascending {x*r mod n : r in root set}, the decode search space.
 
-    Identical for every t-th root x of the same cipher, since the root set
-    is a group.
+    x must be a unit, so the products are distinct.  Identical for every
+    t-th root x of the same cipher, since the root set is a group.
     """
-    return sorted({x * r % rs.modulus for r in rs.roots})
+    n = rs.modulus
+    return sorted([x * r % n for r in rs.roots])
 
 
 def encode(m: int, params: Params, rs: RootSet) -> Packet:
-    """Encrypt m and rank it among the candidates sharing its cipher."""
-    if math.gcd(m, params.n) != 1:
-        raise NotCoprime(f"gcd({m}, {params.n}) > 1")
-    c = encrypt(m, params)
-    cands = candidate_set(m, rs)
-    return Packet(params.t, params.n, c, cands.index(m) + 1)
+    """Encrypt m and rank it: 1 + the number of its (distinct) candidates below m."""
+    n = params.n
+    if math.gcd(m, n) != 1:
+        raise NotCoprime(f"gcd({m}, {n}) > 1")
+    if not 1 <= m < n:
+        raise ValueError(f"m must be in 1..{n - 1}, got {m}")
+    rank = 1 + len([r for r in rs.roots if m * r % n < m])
+    return Packet(params.t, n, pow(m, params.t, n), rank)
 
 
 def decode(pkt: Packet, params: Params, rs: RootSet) -> int:
-    """Invert encode: extract one t-th root of the cipher, pick by rank."""
+    """Invert encode: extract one t-th root of the cipher, pick by rank.
+
+    A cipher that is not a unit is the power of no message: NotCoprime.
+    """
     if pkt.t != params.t or pkt.n != params.n:
         raise MalformedPacket("packet does not match the session parameters")
+    if math.gcd(pkt.c, params.n) != 1:
+        raise NotCoprime(f"gcd({pkt.c}, {params.n}) > 1: not the cipher of a unit")
     root = extract_root(pkt.c, params)
     cands = candidate_set(root, rs)
     if not 1 <= pkt.rank <= len(cands):

@@ -38,6 +38,14 @@ def test_packet_round_trip(pkt):
     assert parse_packet(serialize_packet(pkt)) == pkt
 
 
+# Any integers, not only in-range ones: the writer does not validate.
+@given(st.one_of(packets(), st.builds(Packet, st.integers(), st.integers(), st.integers(),
+                                      st.integers())))
+def test_serialize_is_compact_json(pkt):
+    fields = {"t": pkt.t, "n": pkt.n, "c": pkt.c, "rank": pkt.rank}
+    assert serialize_packet(pkt) == json.dumps(fields, separators=(",", ":")) + "\n"
+
+
 @given(st.one_of(st.text(), st.binary(), packet_like, packet_like.map(str.encode)))
 def test_parse_raises_only_powmap_errors(line):
     try:

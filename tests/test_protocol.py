@@ -33,6 +33,16 @@ class TestSerializePacket:
         pkt = Packet(5, 341, 87, 5)
         assert parse_packet(serialize_packet(pkt).encode()) == pkt
 
+    @pytest.mark.parametrize("pkt", [
+        Packet(5, 61, 11.0, 3),
+        Packet(5, 61, "11", 3),
+        Packet(5, None, 11, 3),
+        Packet(5, 61, 11, 3.5),
+    ])
+    def test_non_integer_field_raises(self, pkt):
+        with pytest.raises((ValueError, TypeError)):
+            serialize_packet(pkt)
+
 
 class TestParsePacket:
     def test_worked_value(self):
@@ -44,6 +54,10 @@ class TestParsePacket:
     def test_empty_is_malformed(self):
         with pytest.raises(MalformedPacket):
             parse_packet("")
+
+    def test_invalid_utf8_is_malformed(self):
+        with pytest.raises(MalformedPacket):
+            parse_packet(b'{"t":5,"n":61,"c":11,"rank":3}\xff')
 
     @pytest.mark.parametrize("line", [
         "not json",

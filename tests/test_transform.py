@@ -17,6 +17,7 @@ from powmap import (
     encrypt,
     extract_root,
     inverse_exponent,
+    is_prime,
     make_params,
     mapping_table,
     root_set,
@@ -176,6 +177,19 @@ class TestCandidateSet:
         assert len(lists) == 1
 
 
+def _smallest_keys(bound=2000):
+    """(t, p) or (t, p, q): the smallest modulus below bound for each t in 2..12,
+    kind (prime or semiprime) and divisibility class that has one."""
+    primes = [p for p in range(3, bound) if is_prime(p)]
+    semiprimes = sorted(((p, q) for p in primes for q in primes if p < q and p * q < bound),
+                        key=lambda pq: pq[0] * pq[1])
+    keys = {}
+    for t in range(2, 13):
+        for factors in [(p,) for p in primes] + semiprimes:
+            keys.setdefault((t, len(factors), make_params(t, *factors).div_class), (t, *factors))
+    return sorted(keys.values())
+
+
 class TestEncodeDecode:
     def test_worked_sessions(self):
         params, rs = make_params(5, 61), root_set(5, 61)
@@ -203,6 +217,31 @@ class TestEncodeDecode:
             encode(11, params, rs)
         with pytest.raises(NotCoprime):
             encode(0, params, rs)
+
+    def test_message_range_enforced(self):
+        params, rs = make_params(5, 61), root_set(5, 61)
+        for m in (62, -1):
+            with pytest.raises(ValueError):
+                encode(m, params, rs)
+
+    def test_non_unit_cipher_refused(self):
+        # No unit message has such a cipher; decode used to return 0 for c = 0.
+        params, rs = make_params(6, 13, 31), root_set(6, 13, 31)
+        for c in (0, 13, 13 * 7, 31, 31 * 12):
+            with pytest.raises(NotCoprime):
+                decode(Packet(6, 403, c, 1), params, rs)
+
+    def test_counted_rank_matches_sorted_candidates(self):
+        # encode counts the candidates below m; the oracle sorts them and searches.
+        keys = _smallest_keys()
+        assert len(keys) == 62  # all (t, kind, class) but the four no odd key reaches
+        for t, *factors in keys:
+            params, rs = make_params(t, *factors), root_set(t, *factors)
+            n = params.n
+            for m in range(1, n):
+                if math.gcd(m, n) == 1:
+                    oracle = sorted({m * r % n for r in rs.roots}).index(m) + 1
+                    assert encode(m, params, rs).rank == oracle, (t, factors, m)
 
     def test_rank_out_of_range(self):
         params, rs = make_params(5, 61), root_set(5, 61)
