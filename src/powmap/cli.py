@@ -45,8 +45,7 @@ def _root_set(params: transform.Params) -> roots.RootSet:
     return roots.root_set(params.t, params.p, params.q)
 
 
-def _cmd_params(args, parser) -> None:
-    params = _resolve_params(args, parser)
+def _cmd_params(args, params: transform.Params) -> None:
     kind = "prime" if params.q is None else "semiprime"
     if args.format == "json":
         print(_jline({
@@ -61,8 +60,7 @@ def _cmd_params(args, parser) -> None:
         print(line)
 
 
-def _cmd_roots(args, parser) -> None:
-    params = _resolve_params(args, parser)
+def _cmd_roots(args, params: transform.Params) -> None:
     rs = _root_set(params)
     if args.format == "json":
         print(_jline({
@@ -73,8 +71,7 @@ def _cmd_roots(args, parser) -> None:
         print(" ".join(str(r) for r in rs.roots))
 
 
-def _cmd_generators(args, parser) -> None:
-    params = _resolve_params(args, parser)
+def _cmd_generators(args, params: transform.Params) -> None:
     gens = roots.eligible_generators(_root_set(params))
     if args.format == "json":
         print(_jline({"generators": gens}))
@@ -82,8 +79,7 @@ def _cmd_generators(args, parser) -> None:
         print(" ".join(str(g) for g in gens))
 
 
-def _cmd_table(args, parser) -> None:
-    params = _resolve_params(args, parser)
+def _cmd_table(args, params: transform.Params) -> None:
     alpha = args.alpha
     if alpha is None:
         gens = roots.eligible_generators(_root_set(params))
@@ -96,27 +92,23 @@ def _cmd_table(args, parser) -> None:
             print(" ".join(str(v) for v in row) + f" {c}")
 
 
-def _cmd_encrypt(args, parser) -> None:
-    params = _resolve_params(args, parser)
+def _cmd_encrypt(args, params: transform.Params) -> None:
     c = transform.encrypt(args.m, params)
     print(_jline({"cipher": c}) if args.format == "json" else c)
 
 
-def _cmd_encode(args, parser) -> None:
-    params = _resolve_params(args, parser)
+def _cmd_encode(args, params: transform.Params) -> None:
     pkt = transform.encode(args.m, params, _root_set(params))
     sys.stdout.write(protocol.serialize_packet(pkt))
 
 
-def _cmd_decode(args, parser) -> None:
-    params = _resolve_params(args, parser)
+def _cmd_decode(args, params: transform.Params) -> None:
     pkt = protocol.validate_packet_fields(params.t, params.n, args.c, args.rank)
     m = transform.decode(pkt, params, _root_set(params))
     print(_jline({"decoded": m}) if args.format == "json" else m)
 
 
-def _cmd_session(args, parser) -> None:
-    params = _resolve_params(args, parser)
+def _cmd_session(args, params: transform.Params) -> None:
     tr = protocol.run_session(params, args.m)
     if args.format == "json":
         print(_jline({"setup": {
@@ -145,8 +137,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _cmd_groups(args, parser) -> None:
-    params = _resolve_params(args, parser)
+def _cmd_groups(args, params: transform.Params) -> None:
     gp = groups_mod.cyclic_groups(_root_set(params))
     report = groups_mod.multiplicity_report(gp)
     if args.format == "json":
@@ -160,8 +151,7 @@ def _cmd_groups(args, parser) -> None:
             print(f"multiplicity {k}: " + " ".join(str(v) for v in values))
 
 
-def _cmd_matrix(args, parser) -> None:
-    params = _resolve_params(args, parser)
+def _cmd_matrix(args, params: transform.Params) -> None:
     matrix, ineligible = groups_mod.group_matrix(groups_mod.cyclic_groups(_root_set(params)))
     if args.format == "json":
         print(_jline({"matrix": [list(r) for r in matrix], "ineligible": ineligible}))
@@ -208,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args.func(args, parser)
+        args.func(args, _resolve_params(args, parser))
     except (PowmapError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

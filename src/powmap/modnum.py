@@ -86,41 +86,42 @@ def sqrtmod(a: int, p: int) -> tuple[int, ...]:
     return () if r is None else (r, p - r)
 
 
-def _divisors(t: int) -> list[int]:
-    return [d for d in range(1, t + 1) if t % d == 0]
-
-
 def element_order(a: int, modulus: int, t: int) -> int:
     """Smallest divisor d of t with a**d ≡ 1 (mod modulus).
 
-    Raises NotDivisor when no divisor of t works, i.e. a is not a t-th
-    root of unity.
+    Closed form: check a**t ≡ 1, then divide each prime factor out of t
+    while the power stays 1.  Raises NotDivisor when a**t ≢ 1, i.e. a is
+    not a t-th root of unity.
     """
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise NotCoprime(f"gcd({a}, {modulus}) > 1")
-    for d in _divisors(t):
-        if pow(a, d, modulus) == 1:
-            return d
-    raise NotDivisor(f"{a} is not a {t}-th root of unity mod {modulus}")
+    if pow(a, t, modulus) != 1:
+        raise NotDivisor(f"{a} is not a {t}-th root of unity mod {modulus}")
+    d = t
+    for ell in _prime_factors(t):
+        if pow(a, d // ell, modulus) == 1:
+            d //= ell
+    return d
+
+
+def _least_factor(n: int) -> int:
+    """The least prime factor of n >= 2, by trial division up to sqrt(n)."""
+    if n % 2 == 0:
+        return 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return f
+        f += 2
+    return n
 
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality check, fine at desk scale."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n >= 2 and _least_factor(n) == n
 
 
 def factor_semiprime(n: int) -> tuple[int, int | None]:
@@ -133,43 +134,33 @@ def factor_semiprime(n: int) -> tuple[int, int | None]:
         raise ValueError(f"n must be >= 2, got {n}")
     if n >= FACTOR_BOUND:
         raise NotSupported(f"{n} exceeds the 2**32 desk-scale bound")
-    spf = None
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            spf = f
-            break
-        f += 1 if f == 2 else 2
-    if spf is None:
+    p = _least_factor(n)
+    if p == n:
         return (n, None)
-    rest = n // spf
-    if is_prime(rest):
-        return (spf, rest)
+    if is_prime(n // p):
+        return (p, n // p)
     raise NotSupported(f"{n} has more than two prime factors")
 
 
 def _prime_factors(t: int) -> list[int]:
     """Prime factors of t, ascending, with multiplicity."""
-    out = []
-    f = 2
-    while f * f <= t:
-        while t % f == 0:
-            out.append(f)
-            t //= f
-        f += 1
-    if t > 1:
-        out.append(t)
-    return out
+    if t < 2:
+        return []
+    f = _least_factor(t)
+    return [f, *_prime_factors(t // f)]
 
 
 @functools.lru_cache(maxsize=None)
 def _unity_generator(d: int, p: int) -> int:
     """An element of exact order d mod the prime p, for d | p-1: the first
-    g = z**((p-1)/d), z = 1, 2, ..., with g**(d/l) != 1 for each prime l | d."""
-    for z in range(1, p):
-        g = pow(z, (p - 1) // d, p)
-        if all(pow(g, d // ell, p) != 1 for ell in _prime_factors(d)):
-            return g
+    g = z**((p-1)/d), z = 1, 2, ..., whose element_order is d."""
+    try:
+        for z in range(1, p):
+            g = pow(z, (p - 1) // d, p)
+            if element_order(g, p, d) == d:
+                return g
+    except (NotCoprime, NotDivisor):  # g is a unit with g**d ≡ 1 whenever p is prime and d | p-1
+        pass
     raise InvalidPrime(f"no element of order {d} mod {p}: not a prime with {d} | {p}-1")
 
 

@@ -105,10 +105,9 @@ def run_session(params: Params, m: int) -> Transcript:
         bob.append(("a", a))
         bob.append(("res", res))
     root = transform.extract_root(received.c, params)
-    bob.append(("root", root))
-    bob.append(("candidates", transform.candidate_set(root, rs)))
-    decoded = transform.decode(received, params, rs)
-    bob.append(("decoded", decoded))
+    cands = transform.candidate_set(root, rs)
+    decoded = cands[received.rank - 1]  # encode's rank is always in 1..len(cands)
+    bob += [("root", root), ("candidates", cands), ("decoded", decoded)]
 
     kind = "prime" if params.q is None else "semiprime"
     summary = (

@@ -45,10 +45,6 @@ class Params:
     phi: int
     div_class: DivClass
 
-    @property
-    def is_prime_modulus(self) -> bool:
-        return self.q is None
-
 
 @dataclass(frozen=True)
 class Packet:

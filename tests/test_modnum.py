@@ -132,12 +132,20 @@ class TestElementOrder:
         assert element_order(6, 43, 6) == 3
 
     def test_minimality(self):
-        for a in (6, 7, 36, 37, 42):
-            d = element_order(a, 43, 6)
-            assert pow(a, d, 43) == 1
-            for e in range(1, d):
-                if d % e == 0:
-                    assert pow(a, e, 43) != 1
+        # Against the definition: the smallest d | t with a**d ≡ 1, for every a and t.
+        for modulus in (43, 61, 187, 341, 403):
+            for a in range(modulus):
+                for t in range(1, 13):
+                    least = next((d for d in range(1, t + 1)
+                                  if t % d == 0 and pow(a, d, modulus) == 1), None)
+                    if math.gcd(a, modulus) != 1:
+                        with pytest.raises(NotCoprime):
+                            element_order(a, modulus, t)
+                    elif least is None:
+                        with pytest.raises(NotDivisor):
+                            element_order(a, modulus, t)
+                    else:
+                        assert element_order(a, modulus, t) == least, (a, modulus, t)
 
     def test_not_a_root(self):
         with pytest.raises(NotDivisor):
@@ -168,12 +176,32 @@ class TestFactorSemiprime:
         with pytest.raises(ValueError):
             factor_semiprime(1)
 
+    def test_against_trial_division(self):
+        def prime_factors(n):
+            factors, d = [], 2
+            while d * d <= n:
+                while n % d == 0:
+                    factors.append(d)
+                    n //= d
+                d += 1
+            return factors + [n] if n > 1 else factors
+
+        for n in range(2, 20_000):
+            factors = prime_factors(n)
+            if len(factors) > 2:
+                with pytest.raises(NotSupported):
+                    factor_semiprime(n)
+            else:
+                assert factor_semiprime(n) == (*factors, None)[:2], n
+
     def test_is_prime_against_scan(self):
         def slow(n):
             return n >= 2 and all(n % d for d in range(2, n))
 
-        for n in range(0, 200):
+        for n in range(0, 5000):
             assert is_prime(n) == slow(n)
+        assert is_prime(4294967291)  # the largest prime below 2**32
+        assert not is_prime(65497 * 65479)
 
 
 class TestNthRootModPrime:

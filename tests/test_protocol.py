@@ -9,6 +9,7 @@ from powmap import (
     run_session,
     serialize_packet,
 )
+from powmap import transform
 
 from worked_examples import (
     CANDIDATES_2_MOD_43,
@@ -168,6 +169,17 @@ class TestRunSession:
         assert alice["candidates"] == [17] and alice["rank"] == 1
         assert tr.decoded == 17 and tr.matched
         assert "one-to-one" in tr.setup_note
+
+    def test_extracts_root_once(self, monkeypatch):
+        calls = []
+        extract_root = transform.extract_root
+        monkeypatch.setattr(transform, "extract_root", lambda *a: calls.append(a) or extract_root(*a))
+        keys_and_messages = (((5, 61), 28), ((5, 11, 17), 3), ((6, 43), 2),
+                             ((5, 31, 11), 51), ((6, 31, 13), 59), ((5, 43), 17))
+        for key, m in keys_and_messages:
+            calls.clear()
+            assert run_session(make_params(*key), m).matched
+            assert len(calls) == 1, key
 
     def test_transcript_header_mentions_out_of_band_setup(self):
         tr = run_session(make_params(5, 61), 28)

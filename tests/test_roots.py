@@ -3,6 +3,7 @@ import math
 import pytest
 
 from powmap import (
+    InvalidPrime,
     element_order,
     eligible_generators,
     lift_roots,
@@ -162,6 +163,11 @@ class TestClosedForm:
         rs = root_set(5, p)
         assert len(rs.roots) == 5 == math.gcd(5, p - 1)
         assert all(pow(r, 5, p) == 1 for r in rs.roots)
+
+    def test_composite_modulus_is_refused(self):
+        for t, n in ((6, 15), (4, 21), (2, 9), (3, 91), (2, 341)):
+            with pytest.raises(InvalidPrime):
+                root_set(t, n)
 
     def test_bounds(self):
         with pytest.raises(ValueError):
