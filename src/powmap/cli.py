@@ -14,7 +14,7 @@ import sys
 
 from . import groups as groups_mod
 from . import modnum, protocol, roots, transform
-from .errors import PowmapError
+from .errors import IneligibleGenerator, PowmapError
 
 
 def _jline(obj) -> str:
@@ -83,6 +83,8 @@ def _cmd_table(args, params: transform.Params) -> None:
     alpha = args.alpha
     if alpha is None:
         gens = roots.eligible_generators(_root_set(params))
+        if not gens:
+            raise IneligibleGenerator(f"no root of order exactly {params.t} mod {params.n}")
         alpha = gens[0]
     rows = transform.mapping_table(params, alpha)
     for row, c in rows:

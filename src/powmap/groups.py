@@ -9,19 +9,16 @@ groups, and the column-index rule below identifies them in bulk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .roots import RootSet
 
 
-@dataclass(frozen=True)
-class GroupPartition:
-    """Deduplicated power cycles (1, a, ..., a**(t-1)) over one root set."""
+class GroupPartition(namedtuple("GroupPartition", "t modulus groups multiplicity")):
+    """Deduplicated power cycles (1, a, ..., a**(t-1)) over one root set;
+    multiplicity maps each root to the number of cycles containing it."""
 
-    t: int
-    modulus: int
-    groups: tuple[tuple[int, ...], ...]
-    multiplicity: dict[int, int]
+    __slots__ = ()
 
 
 def cyclic_groups(rs: RootSet) -> GroupPartition:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     InvalidPrime,
@@ -33,25 +33,25 @@ def invmod(a: int, modulus: int) -> int:
         raise NotInvertible(f"gcd({a % modulus}, {modulus}) = {math.gcd(a, modulus)}") from None
 
 
-@dataclass(frozen=True)
-class CrtBasis:
+class CrtBasis(namedtuple("CrtBasis", "p q q_inv_mod_p p_inv_mod_q n")):
     """Precomputed recombination data for two distinct primes p and q.
 
     q_inv_mod_p and p_inv_mod_q satisfy q*q_inv_mod_p ≡ 1 (mod p) and
     p*p_inv_mod_q ≡ 1 (mod q).
     """
 
-    p: int
-    q: int
-    q_inv_mod_p: int
-    p_inv_mod_q: int
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.q * self.q_inv_mod_p % self.p != 1 or self.p * self.p_inv_mod_q % self.q != 1:
+    def __new__(cls, p: int, q: int, q_inv_mod_p: int, p_inv_mod_q: int, n: int) -> "CrtBasis":
+        if q * q_inv_mod_p % p != 1 or p * p_inv_mod_q % q != 1:
             raise ValueError("inconsistent CRT basis")
-        if self.n != self.p * self.q:
+        if n != p * q:
             raise ValueError("n must equal p*q")
+        return super().__new__(cls, p, q, q_inv_mod_p, p_inv_mod_q, n)
+
+    @classmethod
+    def _make(cls, iterable) -> "CrtBasis":
+        return cls(*iterable)  # namedtuple's own _make, which _replace calls, skips __new__
 
     @classmethod
     @functools.lru_cache(maxsize=None)

@@ -8,7 +8,7 @@ rebuild it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import roots, transform
 from .errors import FieldOutOfRange, MalformedPacket
@@ -64,19 +64,15 @@ def parse_packet(line: str | bytes) -> Packet:
     return validate_packet_fields(obj["t"], obj["n"], obj["c"], obj["rank"])
 
 
-@dataclass(frozen=True)
-class Transcript:
-    """A full encode/decode session, step by step, as each side sees it."""
+class Transcript(namedtuple("Transcript", "params_summary setup_note root_set alice_steps packet "
+                                         "packet_line bob_steps decoded matched")):
+    """A full encode/decode session, step by step, as each side sees it.
 
-    params_summary: str
-    setup_note: str
-    root_set: tuple[int, ...]
-    alice_steps: tuple[tuple[str, object], ...]
-    packet: Packet
-    packet_line: str
-    bob_steps: tuple[tuple[str, object], ...]
-    decoded: int
-    matched: bool
+    alice_steps and bob_steps are tuples of (label, value) pairs; packet is
+    the sent Packet and packet_line its wire text.
+    """
+
+    __slots__ = ()
 
 
 def run_session(params: Params, m: int) -> Transcript:

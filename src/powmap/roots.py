@@ -7,24 +7,21 @@ constructions for degrees 5 and 6 are kept as oracles to check against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import modnum
-from .errors import FormulaFailure
+from .errors import FormulaFailure, InvalidPrime
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(namedtuple("RootSet", "modulus t roots orders")):
     """All solutions of x**t ≡ 1 for one modulus, with their orders.
 
-    roots are distinct, ascending, and always contain 1; orders maps each
-    root to the smallest divisor d of t with root**d ≡ 1.
+    roots is a tuple of distinct roots, ascending, always containing 1;
+    orders is a dict mapping each root to the smallest divisor d of t with
+    root**d ≡ 1.
     """
 
-    modulus: int
-    t: int
-    roots: tuple[int, ...]
-    orders: dict[int, int]
+    __slots__ = ()
 
 
 def _from_orders(modulus: int, t: int, orders: dict[int, int]) -> RootSet:
@@ -120,6 +117,8 @@ def root_set(t: int, p: int, q: int | None = None) -> RootSet:
     """The full root set for x**t ≡ 1 mod the prime p (or mod p*q for a prime q)."""
     if not 1 <= t <= 12:
         raise ValueError(f"t must be in 1..12, got {t}")
-    if q is None:
+    if q is None:  # a semiprime's factors are checked by CrtBasis.for_primes
+        if not modnum.is_prime(p):
+            raise InvalidPrime(f"{p} is not prime")
         return _prime_root_set(t, p)
     return lift_roots(_prime_root_set(t, p), _prime_root_set(t, q))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 
 from . import modnum
@@ -34,26 +34,17 @@ class DivClass(Enum):
     T_SQUARED = "t_squared"
 
 
-@dataclass(frozen=True)
-class Params:
-    """Transformation parameters: exponent, factored modulus, totient, class."""
+class Params(namedtuple("Params", "t p q n phi div_class")):
+    """Transformation parameters: exponent, factored modulus (q is None for
+    a prime modulus), totient, DivClass."""
 
-    t: int
-    p: int
-    q: int | None
-    n: int
-    phi: int
-    div_class: DivClass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Packet:
+class Packet(namedtuple("Packet", "t n c rank")):
     """What travels on the wire: exponent, modulus, cipher, 1-indexed rank."""
 
-    t: int
-    n: int
-    c: int
-    rank: int
+    __slots__ = ()
 
 
 def make_params(t: int, p: int, q: int | None = None) -> Params:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from powmap.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +136,12 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "roots", "--t", "5", "--p", "15")
         assert code == 1 and err.startswith("InvalidPrime")
 
+    def test_table_without_generator(self, capsys):
+        # 5 does not divide 43-1, so no root has order 5 and there is no default --alpha.
+        code, out, err = run_cli(capsys, "table", "--t", "5", "--p", "43")
+        assert code == 1 and out == ""
+        assert err == "IneligibleGenerator: no root of order exactly 5 mod 43\n"
+
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["roots", "--t", "5", "--p", "61", "--n", "61"])
@@ -145,3 +155,24 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestEntryPoint:
+    """The real entry point, each run in a fresh interpreter."""
+
+    @staticmethod
+    def python(*args):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=60)
+
+    def test_cli_import_loads_no_dataclasses_or_inspect(self):
+        proc = self.python("-c", "import sys; before = set(sys.modules); import powmap.cli; "
+                                 "print(' '.join(sorted(set(sys.modules) - before)))")
+        assert proc.returncode == 0, proc.stderr
+        added = set(proc.stdout.split())
+        assert "powmap.cli" in added
+        assert not added & {"dataclasses", "inspect"}
+
+    def test_python_m_powmap_decode(self):
+        proc = self.python("-m", "powmap", "decode", "--t", "5", "--n", "341", "--c", "87", "--rank", "5")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "51\n", "")
