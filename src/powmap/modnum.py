@@ -154,14 +154,10 @@ def _prime_factors(t: int) -> list[int]:
 def _unity_generator(d: int, p: int) -> int:
     """An element of exact order d mod the prime p, for d | p-1: the first
     g = z**((p-1)/d), z = 1, 2, ..., whose element_order is d."""
-    try:
-        for z in range(1, p):
-            g = pow(z, (p - 1) // d, p)
-            if element_order(g, p, d) == d:
-                return g
-    except (NotCoprime, NotDivisor):  # g is a unit with g**d ≡ 1 whenever p is prime and d | p-1
-        pass
-    raise InvalidPrime(f"no element of order {d} mod {p}: not a prime with {d} | {p}-1")
+    for z in range(1, p):
+        g = pow(z, (p - 1) // d, p)
+        if element_order(g, p, d) == d:
+            return g
 
 
 def _group_by_powers(units: list[int], exps: tuple[int, ...], p: int) -> dict:
@@ -187,7 +183,8 @@ def _root_plan(t: int, p: int) -> tuple:
       gamma = g**(ell**(s-1)), and gw = g**w with w the inverse of
       m*t/ell**k mod ell**(s-k);
     - exps = (t/l0, t/(l0*l1), ..., 1) for the prime factors l0 <= l1 <= ...
-      of t, and unity = the gcd(t, p-1) roots of unity grouped by those powers.
+      of t, and unity = the gcd(t, p-1) roots of unity grouped by those powers;
+      exps is empty when gcd(t, p-1) = 1, as the root is then unique.
     """
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
@@ -206,8 +203,8 @@ def _root_plan(t: int, p: int) -> tuple:
             w = pow(m * t // ell**k, -1, ell ** (s - k))
             sylow.append((ell, s, m, pow(g, -1, p), table, pow(g, w, p), ell**k))
     b_exp = a_part * pow(a_part * t, -1, (p - 1) // a_part)
-    exps = tuple(t // math.prod(ells[: i + 1]) for i in range(len(ells)))
     d = math.gcd(t, p - 1)
+    exps = tuple(t // math.prod(ells[: i + 1]) for i in range(len(ells))) if d > 1 else ()
     zeta = _unity_generator(d, p)
     unity = _group_by_powers([pow(zeta, j, p) for j in range(d)], exps, p)
     return b_exp, tuple(sylow), exps, unity
@@ -225,12 +222,10 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
     """
     if not 1 <= t <= 12:
         raise ValueError(f"t must be in 1..12, got {t}")
+    b_exp, sylow, exps, unity = _root_plan(t, p)  # checks p before any early return
     c %= p
     if c == 0:
         return 0
-    if t == 1 or p == 2:
-        return c
-    b_exp, sylow, exps, unity = _root_plan(t, p)
     x = pow(c, b_exp, p)
     for ell, s, m, g_inv, table, gw, ell_k in sylow:
         h, e = pow(c, m, p), 0
@@ -240,7 +235,7 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
         x = x * pow(gw, e // ell_k, p) % p
     if pow(x, t, p) != c:
         return None
-    node = unity
+    node, zeta = unity, 1
     for power in exps:
         xp = pow(x, power, p)
         zeta = min(node, key=lambda z: xp * z % p)

@@ -117,8 +117,9 @@ def root_set(t: int, p: int, q: int | None = None) -> RootSet:
     """The full root set for x**t ≡ 1 mod the prime p (or mod p*q for a prime q)."""
     if not 1 <= t <= 12:
         raise ValueError(f"t must be in 1..12, got {t}")
-    if q is None:  # a semiprime's factors are checked by CrtBasis.for_primes
+    if q is None:
         if not modnum.is_prime(p):
             raise InvalidPrime(f"{p} is not prime")
         return _prime_root_set(t, p)
+    modnum.CrtBasis.for_primes(p, q)  # checks the pair before either set is built
     return lift_roots(_prime_root_set(t, p), _prime_root_set(t, q))

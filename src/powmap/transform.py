@@ -21,6 +21,7 @@ from .errors import (
     NotCoprime,
     NotCoprimeWarning,
     NotResidue,
+    NotSupported,
     RankOutOfRange,
 )
 from .roots import RootSet
@@ -51,16 +52,19 @@ def make_params(t: int, p: int, q: int | None = None) -> Params:
     """Classify (t, p[, q]): computes n, phi and the divisibility class.
 
     Succeeds even when t does not divide phi, so callers get a diagnostic
-    rather than an error.
+    rather than an error.  Outside the contract: ValueError for t outside
+    2..12, NotSupported for n >= 2**32.
     """
-    if t < 2:
-        raise ValueError(f"t must be >= 2, got {t}")
+    if not 2 <= t <= 12:
+        raise ValueError(f"t must be in 2..12, got {t}")
     if q is not None and p == q:
         raise InvalidPrime("p and q must differ")
+    n = p if q is None else p * q
+    if n >= modnum.FACTOR_BOUND:
+        raise NotSupported(f"{n} exceeds the 2**32 desk-scale bound")
     for f in (p,) if q is None else (p, q):
         if f < 3 or not modnum.is_prime(f):
             raise InvalidPrime(f"{f} is not an odd prime >= 3")
-    n = p if q is None else p * q
     phi = p - 1 if q is None else (p - 1) * (q - 1)
     if phi % t != 0:
         div_class = DivClass.NOT_DIVISIBLE
@@ -108,37 +112,33 @@ def extract_root(c: int, params: Params) -> int:
     """One r with r**t ≡ c (mod n), deterministically chosen.
 
     Divisible-by-t-only: r = c**res with res from inverse_exponent on
-    phi(n).  Divisible-by-t**2 over a semiprime: a t-th root mod each
-    factor (refusing factors with t**2 | factor-1), recombined by CRT.
-    Not divisible at all: the map is one-to-one when gcd(t, phi) = 1 and
-    the root is c**(t^{-1} mod phi).
+    phi(n), the paper's route.  Every other key: a t-th root mod each
+    prime factor from modnum.nth_root_mod_prime, joined by CRT for a
+    semiprime.  Refused with NoSolution: t sharing a factor with phi
+    without dividing it, and t**2 dividing f-1 for a factor f.
     """
     t, n = params.t, params.n
     c %= n
     if params.div_class is DivClass.T_EXACTLY:
         _, res = inverse_exponent(t, params.phi)
         r = pow(c, res, n)
-    elif params.div_class is DivClass.T_SQUARED:
-        if params.q is None:
-            raise NoSolution(f"{t}**2 divides p-1: no inverse exponent mod a prime")
-        parts = []
-        for f in (params.p, params.q):
-            if (f - 1) % (t * t) == 0:
-                raise NoSolution(f"{t}**2 divides {f}-1: per-factor extraction unsupported")
-            root_f = modnum.nth_root_mod_prime(c % f, t, f)
-            if root_f is None:
-                raise NotResidue(f"{c} has no {t}-th root mod {f}")
-            parts.append(root_f)
-        basis = modnum.CrtBasis.for_primes(params.p, params.q)
-        r = modnum.crt_pair(parts[0], parts[1], basis)
-    else:
-        g = math.gcd(t, params.phi)
-        if g != 1:
-            raise NoSolution(f"gcd({t}, phi) = {g} but {t} does not divide phi: unsupported")
-        r = pow(c, modnum.invmod(t, params.phi), n)
-    if pow(r, t, n) != c:
-        raise NotResidue(f"extracted {r}, but {r}**{t} ≢ {c} (mod {n})")
-    return r
+        if pow(r, t, n) != c:
+            raise NotResidue(f"extracted {r}, but {r}**{t} ≢ {c} (mod {n})")
+        return r
+    g = math.gcd(t, params.phi)
+    if 1 < g < t:  # g < t exactly when t does not divide phi
+        raise NoSolution(f"gcd({t}, phi) = {g} but {t} does not divide phi: unsupported")
+    parts = []
+    for f in (params.p,) if params.q is None else (params.p, params.q):
+        if (f - 1) % (t * t) == 0:
+            raise NoSolution(f"{t}**2 divides {f}-1: per-factor extraction unsupported")
+        root_f = modnum.nth_root_mod_prime(c % f, t, f)  # checked there: root_f**t ≡ c (mod f)
+        if root_f is None:
+            raise NotResidue(f"{c} has no {t}-th root mod {f}")
+        parts.append(root_f)
+    if params.q is None:
+        return parts[0]
+    return modnum.crt_pair(*parts, modnum.CrtBasis.for_primes(params.p, params.q))
 
 
 def candidate_set(x: int, rs: RootSet) -> list[int]:

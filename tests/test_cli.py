@@ -136,6 +136,17 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "roots", "--t", "5", "--p", "15")
         assert code == 1 and err.startswith("InvalidPrime")
 
+    def test_modulus_beyond_2_32_refused(self, capsys):
+        # parse_packet refuses n >= 2**32, so encode must not emit such a packet.
+        code, out, err = run_cli(capsys, "encode", "--t", "5", "--p", "65537", "--q", "65539", "--m", "2")
+        assert code == 1 and out == ""
+        assert err == "NotSupported: 4295229443 exceeds the 2**32 desk-scale bound\n"
+
+    def test_exponent_beyond_12_refused(self, capsys):
+        code, out, err = run_cli(capsys, "params", "--t", "13", "--p", "53")
+        assert code == 1 and out == ""
+        assert err == "ValueError: t must be in 2..12, got 13\n"
+
     def test_table_without_generator(self, capsys):
         # 5 does not divide 43-1, so no root has order 5 and there is no default --alpha.
         code, out, err = run_cli(capsys, "table", "--t", "5", "--p", "43")

@@ -117,6 +117,10 @@ class TestSqrtmod:
             sqrtmod(1, 15)  # (1, 14) came back, missing 4 and 11
         with pytest.raises(InvalidPrime):
             nth_root_mod_prime(4, 2, 15)  # None came back
+        # The early returns for c ≡ 0 and t == 1 used to skip the check.
+        for c, t, p in ((0, 3, 15), (5, 1, 15), (5, 3, 1), (5, 3, 0)):
+            with pytest.raises(InvalidPrime):
+                nth_root_mod_prime(c, t, p)
 
     def test_odd_composite_fails_fast(self):
         # Each passes Euler's criterion, so only the root routine can notice.

@@ -166,9 +166,10 @@ class TestClosedForm:
 
     def test_composite_modulus_is_refused(self):
         # 341 = 11*31 has 25 fifth roots of unity; powers of one element would give only 5.
-        for t, n in ((6, 15), (4, 21), (2, 9), (3, 91), (2, 341), (5, 341)):
+        # A composite factor of a semiprime is refused before either per-prime set is built.
+        for args in ((6, 15), (4, 21), (2, 9), (3, 91), (2, 341), (5, 341), (5, 21, 11), (5, 11, 21)):
             with pytest.raises(InvalidPrime):
-                root_set(t, n)
+                root_set(*args)
 
     def test_bounds(self):
         with pytest.raises(ValueError):

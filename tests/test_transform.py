@@ -9,6 +9,7 @@ from powmap import (
     NoSolution,
     NotCoprime,
     NotCoprimeWarning,
+    NotSupported,
     Packet,
     RankOutOfRange,
     candidate_set,
@@ -53,6 +54,10 @@ class TestMakeParams:
             make_params(5, 15)
         with pytest.raises(ValueError):
             make_params(1, 61)
+        with pytest.raises(ValueError):
+            make_params(13, 53)
+        with pytest.raises(NotSupported):
+            make_params(5, 65537, 65539)
 
 
 class TestEncrypt:
@@ -135,9 +140,24 @@ class TestExtractRoot:
                 assert pow(extract_root(c, params), params.t, params.n) == c
 
     def test_bijection_when_not_divisible(self):
-        params = make_params(5, 43)
-        for m in range(1, 43):
-            assert extract_root(pow(m, 5, 43), params) == m
+        # gcd(t, phi) = 1: x -> x**t is a bijection mod n, non-units included,
+        # so the per-prime route must return the one brute-force root.
+        primes = [p for p in range(3, 200) if is_prime(p)]
+        keys = [(p, None) for p in primes] + [
+            (p, q) for i, p in enumerate(primes[:10]) for q in primes[i + 1:10]]
+        checked = 0
+        for t in range(2, 13):
+            for p, q in keys:
+                params = make_params(t, p, q)
+                if math.gcd(t, params.phi) != 1:
+                    continue
+                n = params.n
+                preimage = {pow(x, t, n): x for x in range(n)}
+                assert len(preimage) == n
+                for c in range(n):
+                    assert extract_root(c, params) == preimage[c]
+                checked += 1
+        assert checked == 293  # keys with gcd(t, phi) = 1
 
     def test_no_solution_cases(self):
         # t**2 divides p-1 for a prime modulus: no inverse-exponent route.
