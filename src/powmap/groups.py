@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .roots import RootSet
+from . import roots
 
 
 class GroupPartition(namedtuple("GroupPartition", "t modulus groups multiplicity")):
@@ -21,7 +21,7 @@ class GroupPartition(namedtuple("GroupPartition", "t modulus groups multiplicity
     __slots__ = ()
 
 
-def cyclic_groups(rs: RootSet) -> GroupPartition:
+def cyclic_groups(rs: roots.RootSet) -> GroupPartition:
     """Partition the root set into the cycles of its order-t members.
 
     Cycles equal as sets are merged keeping the smallest generator; tuples
@@ -29,9 +29,7 @@ def cyclic_groups(rs: RootSet) -> GroupPartition:
     root, the number of cycles containing it.
     """
     found: dict[frozenset[int], tuple[int, tuple[int, ...]]] = {}
-    for a in rs.roots:
-        if rs.orders[a] != rs.t:
-            continue
+    for a in roots.eligible_generators(rs):
         cycle = [1]
         cur = 1
         for _ in range(rs.t - 1):

@@ -20,7 +20,9 @@ from .errors import (
     NotSupported,
 )
 
+# The contract every layer checks: moduli n < FACTOR_BOUND, exponents t <= T_BOUND.
 FACTOR_BOUND = 2**32
+T_BOUND = 12
 
 
 def invmod(a: int, modulus: int) -> int:
@@ -220,8 +222,8 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
     x, the one whose (x**(t/l0), x**(t/(l0*l1)), ..., x) is least, for the
     prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p.
     """
-    if not 1 <= t <= 12:
-        raise ValueError(f"t must be in 1..12, got {t}")
+    if not 1 <= t <= T_BOUND:
+        raise ValueError(f"t must be in 1..{T_BOUND}, got {t}")
     b_exp, sylow, exps, unity = _root_plan(t, p)  # checks p before any early return
     c %= p
     if c == 0:

@@ -12,11 +12,10 @@ from collections import namedtuple
 
 from . import roots, transform
 from .errors import FieldOutOfRange, MalformedPacket
+from .modnum import FACTOR_BOUND, T_BOUND
 from .transform import DivClass, Packet, Params
 
 PACKET_FIELDS = ("t", "n", "c", "rank")
-MODULUS_BOUND = 2**32
-T_BOUND = 12
 MAX_LINE = 256  # a canonical packet is at most about 50 characters
 # Objects decode to tuples of pairs, so duplicate fields stay visible; built once, not per call.
 _DECODER = json.JSONDecoder(object_pairs_hook=tuple)
@@ -31,7 +30,7 @@ def validate_packet_fields(t: int, n: int, c: int, rank: int) -> Packet:
     """Range-check packet fields; FieldOutOfRange on any violation."""
     if not 2 <= t <= T_BOUND:
         raise FieldOutOfRange(f"t={t} outside 2..{T_BOUND}")
-    if not 2 <= n < MODULUS_BOUND:
+    if not 2 <= n < FACTOR_BOUND:
         raise FieldOutOfRange(f"n={n} outside 2..2**32-1")
     if not 0 <= c < n:
         raise FieldOutOfRange(f"c={c} outside 0..n-1")

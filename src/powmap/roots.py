@@ -37,8 +37,8 @@ def roots_bruteforce(t: int, modulus: int) -> RootSet:
     """Every x in [1, modulus) with x**t ≡ 1, by full scan."""
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if not 1 <= t <= 12:
-        raise ValueError(f"t must be in 1..12, got {t}")
+    if not 1 <= t <= modnum.T_BOUND:
+        raise ValueError(f"t must be in 1..{modnum.T_BOUND}, got {t}")
     return _with_orders(modulus, t, [x for x in range(1, modulus) if pow(x, t, modulus) == 1])
 
 
@@ -115,8 +115,8 @@ def _prime_root_set(t: int, p: int) -> RootSet:
 
 def root_set(t: int, p: int, q: int | None = None) -> RootSet:
     """The full root set for x**t ≡ 1 mod the prime p (or mod p*q for a prime q)."""
-    if not 1 <= t <= 12:
-        raise ValueError(f"t must be in 1..12, got {t}")
+    if not 1 <= t <= modnum.T_BOUND:
+        raise ValueError(f"t must be in 1..{modnum.T_BOUND}, got {t}")
     if q is None:
         if not modnum.is_prime(p):
             raise InvalidPrime(f"{p} is not prime")

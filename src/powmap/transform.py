@@ -55,8 +55,8 @@ def make_params(t: int, p: int, q: int | None = None) -> Params:
     rather than an error.  Outside the contract: ValueError for t outside
     2..12, NotSupported for n >= 2**32.
     """
-    if not 2 <= t <= 12:
-        raise ValueError(f"t must be in 2..12, got {t}")
+    if not 2 <= t <= modnum.T_BOUND:
+        raise ValueError(f"t must be in 2..{modnum.T_BOUND}, got {t}")
     if q is not None and p == q:
         raise InvalidPrime("p and q must differ")
     n = p if q is None else p * q

@@ -168,6 +168,54 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
 
+# Every subcommand in both formats on one key of each kind, then the domain
+# errors of TestErrorPaths.  Usage and --help text are left out: argparse
+# wraps them differently across Python versions.
+GOLDEN_KEYS = (
+    (("--t", "5", "--p", "61"), ("--c", "11", "--rank", "3")),
+    (("--t", "6", "--n", "403"), ("--c", "233", "--rank", "3")),
+    (("--t", "5", "--p", "11", "--q", "31"), ("--c", "98", "--rank", "3")),
+)
+GOLDEN_ERRORS = (
+    ("decode", "--t", "5", "--n", "341", "--c", "87", "--rank", "0"),
+    ("decode", "--t", "5", "--n", "61", "--c", "11", "--rank", "6"),
+    ("encode", "--t", "5", "--n", "187", "--m", "11"),
+    ("decode", "--t", "6", "--p", "13", "--c", "12", "--rank", "1"),
+    ("roots", "--t", "5", "--p", "15"),
+    ("encode", "--t", "5", "--p", "65537", "--q", "65539", "--m", "2"),
+    ("params", "--t", "13", "--p", "53"),
+    ("table", "--t", "5", "--p", "43"),
+)
+
+
+def golden_invocations():
+    for key, packet in GOLDEN_KEYS:
+        for fmt in ("text", "json"):
+            for command in ("params", "roots", "generators", "table", "encrypt", "encode",
+                            "decode", "session", "groups", "matrix"):
+                extra = {"encrypt": ("--m", "28"), "encode": ("--m", "28"),
+                         "session": ("--m", "28"), "decode": packet}.get(command, ())
+                yield (command, *key, *extra, "--format", fmt)
+    for fmt in ("text", "json"):
+        yield ("table", "--t", "5", "--p", "61", "--alpha", "9", "--format", fmt)
+        for argv in GOLDEN_ERRORS:
+            yield (*argv, "--format", fmt)
+
+
+def render_invocation(argv, code, out, err):
+    """One invocation as text: the command, its exit code, stdout lines
+    prefixed '> ' and stderr lines prefixed '! '."""
+    parts = [f"$ powmap {' '.join(argv)}\nexit {code}\n"]
+    for prefix, stream in (("> ", out), ("! ", err)):
+        parts += [prefix + line for line in stream.splitlines(keepends=True)]
+    return "".join(parts)
+
+
+def test_golden_transcript(capsys):
+    transcript = "".join(render_invocation(argv, *run_cli(capsys, *argv)) for argv in golden_invocations())
+    assert transcript == (GOLDEN_DIR / "cli_golden.txt").read_text()
+
+
 class TestEntryPoint:
     """The real entry point, each run in a fresh interpreter."""
 

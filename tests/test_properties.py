@@ -13,7 +13,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from powmap import Packet, PowmapError, parse_packet, serialize_packet
-from powmap.protocol import MODULUS_BOUND, PACKET_FIELDS, T_BOUND
+from powmap.modnum import FACTOR_BOUND, T_BOUND
+from powmap.protocol import PACKET_FIELDS
 
 settings.register_profile("powmap", derandomize=True, database=None, deadline=None,
                           max_examples=200)
@@ -23,7 +24,7 @@ settings.load_profile("powmap")
 @st.composite
 def packets(draw):
     t = draw(st.integers(2, T_BOUND))
-    n = draw(st.integers(2, MODULUS_BOUND - 1))
+    n = draw(st.integers(2, FACTOR_BOUND - 1))
     return Packet(t, n, draw(st.integers(0, n - 1)), draw(st.integers(1, t * t)))
 
 
