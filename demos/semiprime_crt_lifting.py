@@ -6,8 +6,6 @@
 # count stays t; when both primes are ≡ 1 (mod t) the count jumps to t**2.
 
 from powmap import (
-    CrtBasis,
-    crt_pair,
     extract_root,
     lift_roots,
     make_params,
@@ -15,6 +13,7 @@ from powmap import (
     roots_bruteforce,
     run_session,
 )
+from powmap.modnum import CrtBasis, crt_pair
 
 # --- t roots: n = 11 * 17 = 187, phi = 160 = 5 * 32 (not divisible by 25)
 rs_p = roots_bruteforce(5, 11)

@@ -5,7 +5,8 @@ Each subcommand computes its records once and returns them as a pair
 ``main`` alone reads ``--format`` and consumes only the iterable it
 prints, one per line, so ``table``, which grows with p, builds only one
 rendering.  Numbers print in decimal.  Exit codes: 0 on success, 2 on
-usage errors, 1 on domain errors with the error name on stderr.
+usage errors, 1 on domain errors with the error name on stderr; a warning
+prints on stderr as one line, its name and message.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import groups as groups_mod
 from . import modnum, protocol, roots, transform
@@ -164,15 +166,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        objects, lines = args.func(args, _resolve_params(args, parser))
-        if args.format == "json":
-            lines = (json.dumps(obj, separators=(",", ":")) for obj in objects)
-        for line in lines:
-            print(line)
-    except (PowmapError, ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # a warning prints as one named line, as an error does
+        warnings.showwarning = lambda msg, cat, *_: print(f"{cat.__name__}: {msg}", file=sys.stderr)
+        try:
+            objects, lines = args.func(args, _resolve_params(args, parser))
+            if args.format == "json":
+                lines = (json.dumps(obj, separators=(",", ":")) for obj in objects)
+            for line in lines:
+                print(line)
+        except (PowmapError, ValueError) as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -21,10 +21,6 @@ class NotDivisor(PowmapError):
     """No divisor of t is an exponent annihilating the element."""
 
 
-class FormulaFailure(PowmapError):
-    """A closed-form radical construction hit a non-residue it never should."""
-
-
 class InvalidPrime(PowmapError):
     """A modulus factor is not an acceptable odd prime, or p equals q."""
 

@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 
 from . import modnum
-from .errors import FormulaFailure, InvalidPrime
+from .errors import InvalidPrime
 
 
 class RootSet(namedtuple("RootSet", "modulus t roots orders")):
@@ -45,44 +45,34 @@ def roots_bruteforce(t: int, modulus: int) -> RootSet:
 def quintic_roots_prime(p: int) -> RootSet:
     """The five solutions of x**5 ≡ 1 (mod p) by nested radicals.
 
-    With s a square root of 5, u of -2(5+s) and u' of -2(5-s), the roots
-    are 1 and (-1+s±u)/4, (-1-s±u')/4 mod p.  Both square roots of 5 are
-    tried, covering the sign branches; equals the brute-force set.
+    With s either square root of 5, u of -2(5+s) and u' of -2(5-s), the
+    roots are 1 and (-1+s±u)/4, (-1-s±u')/4 mod p; equals the brute-force
+    set.  Both radicands are squares: F_p holds a primitive 5th root ζ with
+    (4ζ + 1 - s)**2 ≡ -2(5+s) and (4ζ² + 1 + s)**2 ≡ -2(5-s).
     """
     if p % 5 != 1 or not modnum.is_prime(p):
         raise ValueError(f"p must be a prime ≡ 1 (mod 5), got {p}")
     inv4 = modnum.invmod(4, p)
-    for s in modnum.sqrtmod(5, p):
-        us = modnum.sqrtmod(-2 * (5 + s), p)
-        vs = modnum.sqrtmod(-2 * (5 - s), p)
-        if not us or not vs:
-            continue
-        vals = {1}
-        vals.update((-1 + s + u) * inv4 % p for u in us)
-        vals.update((-1 - s + v) * inv4 % p for v in vs)
-        if len(vals) == 5:
-            return _with_orders(p, 5, vals)
-    raise FormulaFailure(f"quintic radical construction failed for p={p}")
+    s = modnum.sqrtmod(5, p)[0]
+    vals = {1, *((-1 + s + u) * inv4 % p for u in modnum.sqrtmod(-2 * (5 + s), p)),
+            *((-1 - s + v) * inv4 % p for v in modnum.sqrtmod(-2 * (5 - s), p))}
+    return _with_orders(p, 5, vals)
 
 
 def sextic_roots_prime(p: int) -> RootSet:
     """The six solutions of x**6 ≡ 1 (mod p) by nested radicals.
 
-    With r a square root of -3, the roots are 1, p-1, ±sqrt((-1+r)/2) and
-    ±sqrt((-1-r)/2) mod p; equals the brute-force set.
+    With r either square root of -3, the roots are 1, p-1, ±sqrt((-1+r)/2)
+    and ±sqrt((-1-r)/2) mod p; equals the brute-force set.  (-1±r)/2 are the
+    primitive cube roots of unity ω and ω², whose square roots are ±ω², ±ω.
     """
     if p % 6 != 1 or not modnum.is_prime(p):
         raise ValueError(f"p must be a prime ≡ 1 (mod 6), got {p}")
     inv2 = modnum.invmod(2, p)
-    for r in modnum.sqrtmod(p - 3, p):
-        ws = modnum.sqrtmod((-1 + r) * inv2 % p, p)
-        wps = modnum.sqrtmod((-1 - r) * inv2 % p, p)
-        if not ws or not wps:
-            continue
-        vals = {1, p - 1, *ws, *wps}
-        if len(vals) == 6:
-            return _with_orders(p, 6, vals)
-    raise FormulaFailure(f"sextic radical construction failed for p={p}")
+    r = modnum.sqrtmod(p - 3, p)[0]
+    vals = {1, p - 1, *modnum.sqrtmod((-1 + r) * inv2 % p, p),
+            *modnum.sqrtmod((-1 - r) * inv2 % p, p)}
+    return _with_orders(p, 6, vals)
 
 
 def lift_roots(rs_p: RootSet, rs_q: RootSet) -> RootSet:

@@ -128,9 +128,20 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "encode", "--t", "5", "--n", "187", "--m", "11")
         assert code == 1 and err.startswith("NotCoprime")
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_encrypt_non_unit_warns_on_one_named_line(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "encrypt", "--t", "2", "--n", "187", "--m", "11", "--format", fmt)
+        assert (code, out) == (0, {"text": "121\n", "json": '{"cipher":121}\n'}[fmt])
+        assert err == "NotCoprimeWarning: gcd(11, 187) > 1: decode uniqueness is not guaranteed\n"
+
     def test_no_solution(self, capsys):
         code, _, err = run_cli(capsys, "decode", "--t", "6", "--p", "13", "--c", "12", "--rank", "1")
         assert code == 1 and err.startswith("NoSolution")
+
+    def test_not_residue(self, capsys):
+        code, out, err = run_cli(capsys, "decode", "--t", "5", "--p", "61", "--c", "2", "--rank", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("NotResidue:")
 
     def test_invalid_prime(self, capsys):
         code, _, err = run_cli(capsys, "roots", "--t", "5", "--p", "15")

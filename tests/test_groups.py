@@ -2,13 +2,13 @@ import math
 
 from powmap import (
     cyclic_groups,
-    element_order,
     eligible_generators,
     group_matrix,
     multiplicity_report,
     root_set,
     roots_bruteforce,
 )
+from powmap.modnum import element_order
 
 from worked_examples import GROUP_SETS_341, GROUP_SETS_403, REPEATED_FOUR_TIMES_403, REPEATED_THRICE_403
 

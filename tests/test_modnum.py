@@ -3,13 +3,15 @@ import math
 import pytest
 
 from powmap import (
-    CrtBasis,
     InvalidPrime,
     NotCoprime,
     NotDivisor,
     NotInvertible,
     NotSupported,
     PowmapError,
+)
+from powmap.modnum import (
+    CrtBasis,
     crt_pair,
     element_order,
     factor_semiprime,

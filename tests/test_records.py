@@ -3,13 +3,13 @@
 import pytest
 
 from powmap import (
-    CrtBasis,
     Packet,
     cyclic_groups,
     make_params,
     root_set,
     run_session,
 )
+from powmap.modnum import CrtBasis
 
 
 def records():

@@ -4,7 +4,6 @@ import pytest
 
 from powmap import (
     InvalidPrime,
-    element_order,
     eligible_generators,
     lift_roots,
     quintic_roots_prime,
@@ -12,6 +11,7 @@ from powmap import (
     roots_bruteforce,
     sextic_roots_prime,
 )
+from powmap.modnum import element_order
 
 from worked_examples import (
     QUINTIC_ROOTS_11,
@@ -78,6 +78,11 @@ class TestRadicalConstructions:
         for p in primes_below(1000):
             if p % 6 == 1:
                 assert sextic_roots_prime(p).roots == roots_bruteforce(6, p).roots
+
+    def test_match_closed_form_at_top_of_contract(self):
+        # The largest primes below 2**32 that are ≡ 1 (mod 5) and ≡ 1 (mod 6).
+        assert quintic_roots_prime(4294967291) == root_set(5, 4294967291)
+        assert sextic_roots_prime(4294967197) == root_set(6, 4294967197)
 
     def test_reject_wrong_congruence(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from powmap import (
     NoSolution,
     NotCoprime,
     NotCoprimeWarning,
+    NotResidue,
     NotSupported,
     Packet,
     RankOutOfRange,
@@ -18,11 +19,11 @@ from powmap import (
     encrypt,
     extract_root,
     inverse_exponent,
-    is_prime,
     make_params,
     mapping_table,
     root_set,
 )
+from powmap.modnum import is_prime
 
 from worked_examples import (
     CANDIDATES_28_MOD_61,
@@ -173,6 +174,16 @@ class TestExtractRoot:
         with pytest.raises(NoSolution):
             extract_root(10, make_params(6, 11))
 
+    def test_not_residue_cases(self):
+        # Inverse-exponent route (t exactly divides phi = 60): the extracted root fails its check.
+        with pytest.raises(NotResidue) as exc:
+            extract_root(2, make_params(5, 61))
+        assert str(exc.value) == "extracted 32, but 32**5 ≢ 2 (mod 61)"
+        # Per-prime route (t**2 divides phi = 300): 2 is no 5th power mod 11.
+        with pytest.raises(NotResidue) as exc:
+            extract_root(2, make_params(5, 11, 31))
+        assert str(exc.value) == "2 has no 5-th root mod 11"
+
 
 class TestCandidateSet:
     def test_worked_values(self):
@@ -250,6 +261,15 @@ class TestEncodeDecode:
         for c in (0, 13, 13 * 7, 31, 31 * 12):
             with pytest.raises(NotCoprime):
                 decode(Packet(6, 403, c, 1), params, rs)
+
+    def test_forged_cipher_not_residue(self):
+        # In range and a unit, but no message encrypts to it: decode names the refusal.
+        for factors, msg in (((61,), "extracted 32, but 32**5 ≢ 2 (mod 61)"),
+                             ((11, 31), "2 has no 5-th root mod 11")):
+            params, rs = make_params(5, *factors), root_set(5, *factors)
+            with pytest.raises(NotResidue) as exc:
+                decode(Packet(5, params.n, 2, 1), params, rs)
+            assert str(exc.value) == msg
 
     def test_counted_rank_matches_sorted_candidates(self):
         # encode counts the candidates below m; the oracle sorts them and searches.
