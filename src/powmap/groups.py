@@ -24,24 +24,18 @@ class GroupPartition(namedtuple("GroupPartition", "t modulus groups multiplicity
 def cyclic_groups(rs: roots.RootSet) -> GroupPartition:
     """Partition the root set into the cycles of its order-t members.
 
-    Cycles equal as sets are merged keeping the smallest generator; tuples
-    preserve power order (1, a, a**2, ...).  multiplicity counts, for every
-    root, the number of cycles containing it.
+    Generators are walked ascending, skipping one seen in an earlier cycle
+    (it generates that cycle), so each cycle keeps its smallest generator;
+    tuples keep power order (1, a, a**2, ...).  multiplicity counts the
+    cycles containing each root.
     """
-    found: dict[frozenset[int], tuple[int, tuple[int, ...]]] = {}
+    groups, seen = [], set()
     for a in roots.eligible_generators(rs):
-        cycle = [1]
-        cur = 1
-        for _ in range(rs.t - 1):
-            cur = cur * a % rs.modulus
-            cycle.append(cur)
-        key = frozenset(cycle)
-        if key not in found:
-            found[key] = (a, tuple(cycle))
-    ordered = tuple(cycle for _, cycle in sorted(found.values()))
-    members = [set(g) for g in ordered]
-    multiplicity = {r: sum(r in g for g in members) for r in rs.roots}
-    return GroupPartition(rs.t, rs.modulus, ordered, multiplicity)
+        if a not in seen:
+            groups.append(tuple(pow(a, j, rs.modulus) for j in range(rs.t)))
+            seen.update(groups[-1])
+    multiplicity = {r: sum(r in g for g in groups) for r in rs.roots}
+    return GroupPartition(rs.t, rs.modulus, tuple(groups), multiplicity)
 
 
 def multiplicity_report(gp: GroupPartition) -> dict[int, list[int]]:

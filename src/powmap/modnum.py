@@ -152,7 +152,6 @@ def _prime_factors(t: int) -> list[int]:
     return [f, *_prime_factors(t // f)]
 
 
-@functools.lru_cache(maxsize=None)
 def _unity_generator(d: int, p: int) -> int:
     """An element of exact order d mod the prime p, for d | p-1: the first
     g = z**((p-1)/d), z = 1, 2, ..., whose element_order is d."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
 
 from . import modnum
@@ -178,29 +179,27 @@ def decode(pkt: Packet, params: Params, rs: RootSet) -> int:
     return cands[pkt.rank - 1]
 
 
-def mapping_table(params: Params, alpha: int) -> list[tuple[tuple[int, ...], int]]:
+def mapping_table(params: Params, alpha: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """The phi(p)/t rows (m, m*a, ..., m*a**(t-1)) with their shared cipher.
 
-    Each row is one coset of <alpha>; the representative is the smallest
-    unit not yet placed, so every unit appears exactly once and the rows
-    exhibit the t-to-1 structure of the power map.
+    Each row is one coset of <alpha>, led by the smallest unit not yet
+    placed, so each unit appears once and the rows show the t-to-1 collapse.
+    The key is checked on the call; the rows then stream over p flag bytes.
     """
     if params.q is not None or params.div_class is not DivClass.T_EXACTLY:
         raise ValueError("mapping table needs a prime modulus with phi divisible by t only")
     p, t = params.p, params.t
     if modnum.element_order(alpha, p, t) != t:
         raise IneligibleGenerator(f"{alpha} does not have order {t} mod {p}")
-    rows = []
-    used = [False] * p
+    return _table_rows(p, t, alpha)
+
+
+def _table_rows(p: int, t: int, alpha: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    powers = [pow(alpha, j, p) for j in range(t)]
+    used = bytearray(p)
     for m in range(1, p):
-        if used[m]:
-            continue
-        row = [m]
-        cur = m
-        for _ in range(t - 1):
-            cur = cur * alpha % p
-            row.append(cur)
-        for v in row:
-            used[v] = True
-        rows.append((tuple(row), pow(m, t, p)))
-    return rows
+        if not used[m]:
+            row = tuple(m * a % p for a in powers)
+            for v in row:
+                used[v] = 1
+            yield row, pow(m, t, p)

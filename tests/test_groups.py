@@ -1,4 +1,7 @@
+import functools
 import math
+
+import pytest
 
 from powmap import (
     cyclic_groups,
@@ -8,7 +11,7 @@ from powmap import (
     root_set,
     roots_bruteforce,
 )
-from powmap.modnum import element_order
+from powmap.modnum import element_order, is_prime
 
 from worked_examples import GROUP_SETS_341, GROUP_SETS_403, REPEATED_FOUR_TIMES_403, REPEATED_THRICE_403
 
@@ -52,6 +55,36 @@ class TestCyclicGroups:
         for rs in (root_set(5, 31, 11), root_set(6, 31, 13), roots_bruteforce(6, 43)):
             gp = cyclic_groups(rs)
             assert {v for g in gp.groups for v in g} == set(rs.roots)
+
+
+_PRIMES = [p for p in range(3, 400) if is_prime(p)]
+# Every prime below 400 as a prime key, and with each of the next five primes as
+# a semiprime key, up to n = 20,000.
+_KEYS = [(p, None) for p in _PRIMES] + [
+    (p, q) for i, p in enumerate(_PRIMES) for q in _PRIMES[i + 1:i + 6] if p * q < 20000]
+
+
+@functools.cache
+def _units_of_small_order(n):
+    """Every x in [1, n) with x**lcm(1..12) ≡ 1, by full scan: a superset of
+    the t-th roots of unity mod n for every t <= 12."""
+    return [x for x in range(1, n) if pow(x, 27720, n) == 1]
+
+
+@pytest.mark.parametrize("t", range(2, 13))
+def test_cycles_match_bruteforce_dedup(t):
+    for p, q in _KEYS:
+        n = p if q is None else p * q
+        roots = [x for x in _units_of_small_order(n) if pow(x, t, n) == 1]
+        gens = [x for x in roots if all(pow(x, k, n) != 1 for k in range(1, t))]
+        cycles = {frozenset(pow(a, j, n) for j in range(t)) for a in gens}
+        gp = cyclic_groups(root_set(t, p, q))
+        assert {frozenset(g) for g in gp.groups} == cycles and len(gp.groups) == len(cycles)
+        # each cycle in power order from its least generator, cycles by that generator
+        leads = [min(set(gens) & set(g)) for g in gp.groups]
+        assert leads == sorted(leads)
+        assert all(g == tuple(pow(a, j, n) for j in range(t)) for g, a in zip(gp.groups, leads))
+        assert gp.multiplicity == {r: sum(r in c for c in cycles) for r in roots}
 
 
 class TestMultiplicityReport:

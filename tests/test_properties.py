@@ -4,6 +4,7 @@ The profile is derandomized and keeps no example database, so every run
 draws the same examples and Tier-1 stays deterministic.
 """
 
+import functools
 import json
 
 import pytest
@@ -12,7 +13,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st
 
-from powmap import Packet, PowmapError, parse_packet, serialize_packet
+from powmap import (
+    Packet,
+    PowmapError,
+    decode,
+    encode,
+    make_params,
+    parse_packet,
+    root_set,
+    serialize_packet,
+)
 from powmap.modnum import FACTOR_BOUND, T_BOUND
 from powmap.protocol import PACKET_FIELDS
 
@@ -53,3 +63,43 @@ def test_parse_raises_only_powmap_errors(line):
         parse_packet(line)
     except PowmapError:
         pass
+
+
+# (t, p, q) keys inside the contract, prime and semiprime, in every divisibility
+# class, including the regimes where decode refuses (gcd(phi/t, t) > 1, t sharing
+# a factor with phi without dividing it, t**2 | f-1), up to the 2**32 bound.
+DECODE_KEYS = [
+    (5, 61, None), (6, 43, None), (12, 13, None), (6, 19, None),  # t exactly
+    (5, 43, None), (4, 7, None),  # not divisible
+    (5, 101, None), (3, 109, None),  # t squared
+    (5, 11, 7), (5, 7, 13), (5, 31, 11), (6, 31, 13), (12, 37, 13), (9, 19, 37),  # exactly, not, squared
+    (5, 4294967291, None), (7, 4294967279, None), (4, 4294967197, None),  # t exactly
+    (3, 4294967291, None), (11, 4294967279, None),  # not divisible
+    (2, 4294967197, None),  # t squared
+    (5, 65521, 65519), (3, 65497, 65519), (4, 65479, 65447),  # t exactly
+    (11, 65521, 65519), (5, 65497, 65519),  # not divisible
+    (2, 65519, 65479), (2, 65521, 65519), (12, 65521, 65519),  # t squared
+]
+
+
+@functools.cache
+def _key(t, p, q):
+    return make_params(t, p, q), root_set(t, p, q)
+
+
+@st.composite
+def keyed_packets(draw):
+    t, p, q = draw(st.sampled_from(DECODE_KEYS))
+    n = p if q is None else p * q
+    return (t, p, q), Packet(t, n, draw(st.integers(0, n - 1)), draw(st.integers(1, t * t)))
+
+
+@given(keyed_packets())
+def test_decode_round_trips_or_raises_powmap_error(keyed):
+    key, pkt = keyed
+    params, rs = _key(*key)
+    try:
+        m = decode(pkt, params, rs)
+    except PowmapError:
+        return
+    assert encode(m, params, rs) == pkt

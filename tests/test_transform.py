@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -15,6 +17,7 @@ from powmap import (
     RankOutOfRange,
     candidate_set,
     decode,
+    eligible_generators,
     encode,
     encrypt,
     extract_root,
@@ -315,8 +318,8 @@ class TestMappingTable:
         assert [(*row, c) for row, c in rows] == TABLE_43_7
 
     def test_row_count(self):
-        assert len(mapping_table(make_params(5, 61), 9)) == 12
-        assert len(mapping_table(make_params(6, 43), 7)) == 7
+        assert len(list(mapping_table(make_params(5, 61), 9))) == 12
+        assert len(list(mapping_table(make_params(6, 43), 7))) == 7
 
     def test_partitions_units_exactly_once(self):
         rows = mapping_table(make_params(5, 61), 9)
@@ -324,7 +327,7 @@ class TestMappingTable:
         assert sorted(seen) == list(range(1, 61))
 
     def test_shared_cipher_per_row_distinct_across_rows(self):
-        rows = mapping_table(make_params(6, 43), 7)
+        rows = list(mapping_table(make_params(6, 43), 7))
         ciphers = set()
         for row, c in rows:
             assert {pow(v, 6, 43) for v in row} == {c}
@@ -336,3 +339,33 @@ class TestMappingTable:
             mapping_table(make_params(6, 43), 6)
         with pytest.raises(ValueError):
             mapping_table(make_params(5, 31, 11), 4)
+
+    def test_first_rows_stream_without_the_whole_table(self):
+        # 200,016 rows at p = 1000081; the first ten need only the p flag bytes.
+        params = make_params(5, 1000081)
+        alpha = eligible_generators(root_set(5, 1000081))[0]
+        tracemalloc.start()
+        try:
+            rows = list(itertools.islice(mapping_table(params, alpha), 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 10 and rows[0][0][0] == 1
+        assert peak < 2 * 1024 * 1024
+
+    @pytest.mark.parametrize("t", range(2, 13))
+    def test_rows_are_the_cosets_of_alpha(self, t):
+        # Oracle: <alpha> is the set of t-th roots of unity, its cosets are
+        # formed as sets, and the rows come in order of their least member.
+        for p in range(3, 500):
+            if not is_prime(p) or make_params(t, p).div_class is not DivClass.T_EXACTLY:
+                continue
+            unity = [x for x in range(1, p) if pow(x, t, p) == 1]
+            cosets = sorted({frozenset(m * u % p for u in unity) for m in range(1, p)}, key=min)
+            expected = [(min(s), s, pow(min(s), t, p)) for s in cosets]
+            alphas = [a for a in unity if all(pow(a, k, p) != 1 for k in range(1, t))]
+            assert alphas
+            for alpha in alphas:
+                rows = list(mapping_table(make_params(t, p), alpha))
+                assert [(row[0], set(row), c) for row, c in rows] == expected
+                assert all(row[j] == row[j - 1] * alpha % p for row, _ in rows for j in range(1, t))
