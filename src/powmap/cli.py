@@ -6,7 +6,8 @@ Each subcommand computes its records once and returns them as a pair
 prints, one per line, so ``table``, which grows with p, builds only one
 rendering.  Numbers print in decimal.  Exit codes: 0 on success, 2 on
 usage errors, 1 on domain errors with the error name on stderr; a warning
-prints on stderr as one line, its name and message.
+prints on stderr as one line, its name and message, and under
+``-W error`` it prints the same line and exits 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import warnings
 
 from . import groups as groups_mod
 from . import modnum, protocol, roots, transform
-from .errors import IneligibleGenerator, PowmapError
+from .errors import IneligibleGenerator, NotCoprimeWarning, PowmapError
 
 
 def _words(value) -> str:
@@ -174,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
                 lines = (json.dumps(obj, separators=(",", ":")) for obj in objects)
             for line in lines:
                 print(line)
-        except (PowmapError, ValueError) as exc:
+        except (PowmapError, ValueError, NotCoprimeWarning) as exc:  # the warning under -W error
             print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 1
     return 0

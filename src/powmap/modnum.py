@@ -113,11 +113,9 @@ def _least_factor(n: int) -> int:
     """The least prime factor of n >= 2, by trial division up to sqrt(n)."""
     if n % 2 == 0:
         return 2
-    f = 3
-    while f * f <= n:
+    for f in range(3, math.isqrt(n) + 1, 2):
         if n % f == 0:
             return f
-        f += 2
     return n
 
 
@@ -161,31 +159,22 @@ def _unity_generator(d: int, p: int) -> int:
             return g
 
 
-def _group_by_powers(units: list[int], exps: tuple[int, ...], p: int) -> dict:
-    """Nested {u**exps[0]: {u**exps[1]: ...}} over units, one level per exponent."""
-    if not exps:
-        return {}
-    groups: dict[int, list[int]] = {}
-    for u in units:
-        groups.setdefault(pow(u, exps[0], p), []).append(u)
-    return {v: _group_by_powers(us, exps[1:], p) for v, us in groups.items()}
-
-
 @functools.lru_cache(maxsize=None)
 def _root_plan(t: int, p: int) -> tuple:
     """What a t-th root mod the prime p needs that does not depend on the cipher.
 
     Write p-1 = A*B with A made only of primes dividing t.  Returns
-    (b_exp, sylow, exps, unity):
+    (b_exp, sylow, levels):
     - c**b_exp is a t-th root of the part of c whose order divides B;
     - sylow has one entry (ell, s, m, g_inv, table, gw, ell**k) per prime
       ell | t with ell**s || p-1 and ell**k || t, s > k: g generates the
       ell-Sylow subgroup, m = (p-1)/ell**s, table = {gamma**j: j} for
       gamma = g**(ell**(s-1)), and gw = g**w with w the inverse of
       m*t/ell**k mod ell**(s-k);
-    - exps = (t/l0, t/(l0*l1), ..., 1) for the prime factors l0 <= l1 <= ...
-      of t, and unity = the gcd(t, p-1) roots of unity grouped by those powers;
-      exps is empty when gcd(t, p-1) = 1, as the root is then unique.
+    - levels has one (e, {w**e: w}) per e in t/l0, t/(l0*l1), ..., 1, for
+      the prime factors l0 <= l1 <= ... of t, with w over the gcd(t, p-1)
+      roots of unity whose power at the level before (t at the first) is 1;
+      a level with one entry, {1: 1}, is left out.
     """
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
@@ -205,10 +194,16 @@ def _root_plan(t: int, p: int) -> tuple:
             sylow.append((ell, s, m, pow(g, -1, p), table, pow(g, w, p), ell**k))
     b_exp = a_part * pow(a_part * t, -1, (p - 1) // a_part)
     d = math.gcd(t, p - 1)
-    exps = tuple(t // math.prod(ells[: i + 1]) for i in range(len(ells))) if d > 1 else ()
     zeta = _unity_generator(d, p)
-    unity = _group_by_powers([pow(zeta, j, p) for j in range(d)], exps, p)
-    return b_exp, tuple(sylow), exps, unity
+    unity = [pow(zeta, j, p) for j in range(d)]
+    levels, prev = [], t
+    for ell in ells:
+        e = prev // ell
+        level = {pow(w, e, p): w for w in unity if pow(w, prev, p) == 1}
+        if len(level) > 1:
+            levels.append((e, level))
+        prev = e
+    return b_exp, tuple(sylow), tuple(levels)
 
 
 def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
@@ -223,7 +218,7 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
     """
     if not 1 <= t <= T_BOUND:
         raise ValueError(f"t must be in 1..{T_BOUND}, got {t}")
-    b_exp, sylow, exps, unity = _root_plan(t, p)  # checks p before any early return
+    b_exp, sylow, levels = _root_plan(t, p)  # checks p before any early return
     c %= p
     if c == 0:
         return 0
@@ -236,9 +231,9 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
         x = x * pow(gw, e // ell_k, p) % p
     if pow(x, t, p) != c:
         return None
-    node, zeta = unity, 1
-    for power in exps:
-        xp = pow(x, power, p)
-        zeta = min(node, key=lambda z: xp * z % p)
-        node = node[zeta]
-    return x * zeta % p
+    # A w whose power at the level before is 1 leaves the earlier powers of
+    # x as they are, so each level makes x**e least among the roots left.
+    for e, level in levels:
+        xe = pow(x, e, p)
+        x = x * level[min(level, key=lambda v: xe * v % p)] % p
+    return x

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,14 @@ class TestErrorPaths:
     def test_encrypt_non_unit_warns_on_one_named_line(self, capsys, fmt):
         code, out, err = run_cli(capsys, "encrypt", "--t", "2", "--n", "187", "--m", "11", "--format", fmt)
         assert (code, out) == (0, {"text": "121\n", "json": '{"cipher":121}\n'}[fmt])
+        assert err == "NotCoprimeWarning: gcd(11, 187) > 1: decode uniqueness is not guaranteed\n"
+
+    def test_warning_as_error_prints_one_named_line(self, capsys):
+        # Under -W error the warning is raised, and must not escape as a traceback.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "encrypt", "--t", "2", "--n", "187", "--m", "11")
+        assert (code, out) == (1, "")
         assert err == "NotCoprimeWarning: gcd(11, 187) > 1: decode uniqueness is not guaranteed\n"
 
     def test_no_solution(self, capsys):

@@ -45,6 +45,10 @@ class TestXgcdInvmod:
         with pytest.raises(NotInvertible):
             invmod(0, 7)
 
+    def test_modulus_below_two_is_refused(self):
+        with pytest.raises(ValueError):
+            invmod(3, 1)
+
 
 class TestCrt:
     def test_worked_values(self):
@@ -161,6 +165,10 @@ class TestElementOrder:
         with pytest.raises(NotCoprime):
             element_order(11, 187, 5)
 
+    def test_exponent_below_one_is_refused(self):
+        with pytest.raises(ValueError):
+            element_order(2, 7, 0)
+
 
 class TestFactorSemiprime:
     def test_worked_values(self):
@@ -181,6 +189,11 @@ class TestFactorSemiprime:
             factor_semiprime(2**32)
         with pytest.raises(ValueError):
             factor_semiprime(1)
+
+    def test_prime_beyond_2_32_not_supported(self):
+        # 4294967311 is prime, so only the size bound refuses it.
+        with pytest.raises(NotSupported):
+            factor_semiprime(4294967311)
 
     def test_against_trial_division(self):
         def prime_factors(n):
@@ -246,12 +259,39 @@ class TestNthRootModPrime:
                 for c, (_, x) in best.items():
                     assert nth_root_mod_prime(c, t, p) == x, (c, t, p)
 
+    def test_root_choice_at_large_primes(self):
+        # The same rule at primes far beyond a full scan: p - 1 is divisible
+        # by 27720 = lcm(2..12), so gcd(t, p-1) = t.  The roots of unity come
+        # from the distinct pow(z, (p-1)/d, p), z = 2, 3, ..., and the root
+        # returned must be least by the rule among its products with them.
+        for p in (4294964521, 4294742761, 1025641):
+            for t in range(2, 13):
+                d, unity, z = math.gcd(t, p - 1), set(), 2
+                while len(unity) < d:
+                    unity.add(pow(z, (p - 1) // d, p))
+                    z += 1
+                ells, rest = [], t
+                for f in (2, 3, 5, 7, 11):
+                    while rest % f == 0:
+                        ells.append(f)
+                        rest //= f
+                exps = [t // math.prod(ells[:i + 1]) for i in range(len(ells))]
+                for m in range(2, 40):
+                    r = nth_root_mod_prime(pow(m, t, p), t, p)
+                    best = min((r * w % p for w in unity),
+                               key=lambda x: tuple(pow(x, e, p) for e in exps))
+                    assert r == best, (m, t, p)
+
     def test_deterministic(self):
         assert nth_root_mod_prime(12, 6, 13) == nth_root_mod_prime(12, 6, 13)
 
     def test_zero_and_degree_one(self):
         assert nth_root_mod_prime(0, 6, 13) == 0
         assert nth_root_mod_prime(9, 1, 13) == 9
+
+    def test_exponent_beyond_bound_is_refused(self):
+        with pytest.raises(ValueError):
+            nth_root_mod_prime(3, 13, 7)
 
 
 def test_roots_agree_with_sympy():

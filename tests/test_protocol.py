@@ -103,6 +103,11 @@ class TestParsePacket:
         with pytest.raises(MalformedPacket):
             parse_packet('{"t":5,"t":6,"n":61,"c":11,"rank":3}')
 
+    def test_overlong_line_is_malformed(self):
+        # A valid packet behind 240 spaces: 270 characters, beyond MAX_LINE.
+        with pytest.raises(MalformedPacket):
+            parse_packet(" " * 240 + '{"t":5,"n":61,"c":11,"rank":3}')
+
     def test_rank_capped_at_t_squared_before_decode(self):
         # rank 25 parses for t=5 (it is within t**2) even though a prime
         # modulus session would later reject it as out of range.
