@@ -206,19 +206,15 @@ def _root_plan(t: int, p: int) -> tuple:
     return b_exp, tuple(sylow), tuple(levels)
 
 
-def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
-    """Some x with x**t ≡ c (mod p) for prime p and 1 <= t <= 12, or None.
+def _any_root(c: int, t: int, p: int) -> int | None:
+    """Some x with x**t ≡ c (mod the prime p), or None when c has no t-th root.
 
-    One root comes from the cached per-key plan (_root_plan): one pow for
-    the part of the group prime to t, and for each Sylow subgroup the
-    Pohlig-Hellman digits of a discrete log, read by dict lookup
-    (Adleman-Manders-Miller).  The root returned is fixed: among all roots
-    x, the one whose (x**(t/l0), x**(t/(l0*l1)), ..., x) is least, for the
-    prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p.
+    From the cached per-key plan (_root_plan): one pow for the part of the
+    group prime to t, and for each Sylow subgroup the Pohlig-Hellman digits
+    of a discrete log, read by dict lookup (Adleman-Manders-Miller).  Which
+    root comes out is whatever the plan gives; t is not range-checked here.
     """
-    if not 1 <= t <= T_BOUND:
-        raise ValueError(f"t must be in 1..{T_BOUND}, got {t}")
-    b_exp, sylow, levels = _root_plan(t, p)  # checks p before any early return
+    b_exp, sylow, _ = _root_plan(t, p)  # checks p before any early return
     c %= p
     if c == 0:
         return 0
@@ -229,11 +225,24 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
             e += table[pow(h * pow(g_inv, e, p) % p, ell ** (s - 1 - j), p)] * ell**j
         # When ell**k does not divide e, c has no root and the check below fails.
         x = x * pow(gw, e // ell_k, p) % p
-    if pow(x, t, p) != c:
-        return None
+    return x if pow(x, t, p) == c else None
+
+
+def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
+    """The canonical x with x**t ≡ c (mod p) for prime p and 1 <= t <= 12, or None.
+
+    Some root from _any_root, then moved to a fixed one: among all roots
+    x, the one whose (x**(t/l0), x**(t/(l0*l1)), ..., x) is least, for the
+    prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p.
+    """
+    if not 1 <= t <= T_BOUND:
+        raise ValueError(f"t must be in 1..{T_BOUND}, got {t}")
+    x = _any_root(c, t, p)
+    if not x:  # None, or 0 for c ≡ 0
+        return x
     # A w whose power at the level before is 1 leaves the earlier powers of
     # x as they are, so each level makes x**e least among the roots left.
-    for e, level in levels:
+    for e, level in _root_plan(t, p)[2]:
         xe = pow(x, e, p)
         x = x * level[min(level, key=lambda v: xe * v % p)] % p
     return x

@@ -11,9 +11,9 @@ import json
 from collections import namedtuple
 
 from . import roots, transform
-from .errors import FieldOutOfRange, MalformedPacket
+from .errors import FieldOutOfRange, MalformedPacket, NoSolution
 from .modnum import FACTOR_BOUND, T_BOUND
-from .transform import DivClass, Packet, Params
+from .transform import Packet, Params
 
 PACKET_FIELDS = ("t", "n", "c", "rank")
 MAX_LINE = 256  # a canonical packet is at most about 50 characters
@@ -78,8 +78,8 @@ def run_session(params: Params, m: int) -> Transcript:
     """Encode m, push the packet through the wire format, decode it back.
 
     Records what each side would tabulate: the sender's sorted candidate
-    list, rank and cipher; the receiver's inverse exponent (when the
-    divisibility class admits one), extracted root, reconstructed list and
+    list, rank and cipher; the receiver's inverse exponent (when
+    inverse_exponent finds one), extracted root, reconstructed list and
     decoded message.
     """
     rs = roots.root_set(params.t, params.p, params.q)
@@ -94,11 +94,12 @@ def run_session(params: Params, m: int) -> Transcript:
         ("cipher", pkt.c),
     )
 
-    bob: list[tuple[str, object]] = []
-    if params.div_class is DivClass.T_EXACTLY:
+    try:
         a, res = transform.inverse_exponent(params.t, params.phi)
-        bob.append(("a", a))
-        bob.append(("res", res))
+    except NoSolution:
+        bob: list[tuple[str, object]] = []
+    else:
+        bob = [("a", a), ("res", res)]
     root = transform.extract_root(received.c, params)
     cands = transform.candidate_set(root, rs)
     decoded = cands[received.rank - 1]  # encode's rank is always in 1..len(cands)
@@ -110,7 +111,7 @@ def run_session(params: Params, m: int) -> Transcript:
         f"class={params.div_class.value} kind={kind}"
     )
     note = "only the packet travels; the receiver rebuilds the root set from the private factors"
-    if params.div_class is DivClass.NOT_DIVISIBLE:
+    if rs.roots == (1,):
         note += "; the power map is one-to-one here, so the candidate set is a single value"
     return Transcript(
         summary, note, rs.roots, alice, pkt, line, tuple(bob), decoded, decoded == m

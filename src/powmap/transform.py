@@ -29,7 +29,11 @@ from .roots import RootSet
 
 
 class DivClass(Enum):
-    """How phi(n) relates to t: not divisible, divisible by t only, or by t**2."""
+    """How phi(n) relates to t: not divisible, divisible by t only, or by t**2.
+
+    Descriptive only: shown to users and checked by mapping_table, but no
+    root route (decode, extract_root) branches on it.
+    """
 
     NOT_DIVISIBLE = "not_divisible"
     T_EXACTLY = "t_exactly"
@@ -110,32 +114,33 @@ def inverse_exponent(t: int, phi: int) -> tuple[int, int]:
 
 
 def extract_root(c: int, params: Params) -> int:
-    """One r with r**t ≡ c (mod n), deterministically chosen.
+    """One r with r**t ≡ c (mod n), the root the paper and the session show.
 
-    Divisible-by-t-only: r = c**res with res from inverse_exponent on
-    phi(n), the paper's route.  Every other key: a t-th root mod each
-    prime factor from modnum.nth_root_mod_prime, joined by CRT for a
-    semiprime.  Refused with NoSolution: t sharing a factor with phi
-    without dividing it, and t**2 dividing f-1 for a factor f.
+    Where inverse_exponent succeeds on phi(n), r = c**res, the paper's
+    route.  Every other key: the canonical t-th root mod each prime factor
+    from modnum.nth_root_mod_prime, joined by CRT for a semiprime.
+    NotResidue when c has no t-th root.
     """
     t, n = params.t, params.n
     c %= n
-    if params.div_class is DivClass.T_EXACTLY:
+    try:
         _, res = inverse_exponent(t, params.phi)
-        r = pow(c, res, n)
-        if pow(r, t, n) != c:
-            raise NotResidue(f"extracted {r}, but {r}**{t} ≢ {c} (mod {n})")
-        return r
-    g = math.gcd(t, params.phi)
-    if 1 < g < t:  # g < t exactly when t does not divide phi
-        raise NoSolution(f"gcd({t}, phi) = {g} but {t} does not divide phi: unsupported")
+    except NoSolution:
+        return _root_per_prime(c, params, modnum.nth_root_mod_prime)
+    r = pow(c, res, n)
+    if pow(r, t, n) != c:
+        raise NotResidue(f"extracted {r}, but {r}**{t} ≢ {c} (mod {n})")
+    return r
+
+
+def _root_per_prime(c: int, params: Params, root_mod_prime) -> int:
+    """A t-th root of c mod n from root_mod_prime(c % f, t, f) for each prime
+    factor f, joined by CRT for a semiprime; NotResidue where one has none."""
     parts = []
     for f in (params.p,) if params.q is None else (params.p, params.q):
-        if (f - 1) % (t * t) == 0:
-            raise NoSolution(f"{t}**2 divides {f}-1: per-factor extraction unsupported")
-        root_f = modnum.nth_root_mod_prime(c % f, t, f)  # checked there: root_f**t ≡ c (mod f)
+        root_f = root_mod_prime(c % f, params.t, f)  # checked there: root_f**t ≡ c (mod f)
         if root_f is None:
-            raise NotResidue(f"{c} has no {t}-th root mod {f}")
+            raise NotResidue(f"{c} has no {params.t}-th root mod {f}")
         parts.append(root_f)
     if params.q is None:
         return parts[0]
@@ -164,16 +169,17 @@ def encode(m: int, params: Params, rs: RootSet) -> Packet:
 
 
 def decode(pkt: Packet, params: Params, rs: RootSet) -> int:
-    """Invert encode: extract one t-th root of the cipher, pick by rank.
+    """Invert encode: take any t-th root of the cipher, pick by rank.
 
-    A cipher that is not a unit is the power of no message: NotCoprime.
+    Any root will do, since all give the same candidate set, so one route
+    serves every key: modnum._any_root per prime factor, joined by CRT.  A
+    non-unit cipher is NotCoprime, a unit with no t-th root NotResidue.
     """
     if pkt.t != params.t or pkt.n != params.n:
         raise MalformedPacket("packet does not match the session parameters")
     if math.gcd(pkt.c, params.n) != 1:
         raise NotCoprime(f"gcd({pkt.c}, {params.n}) > 1: not the cipher of a unit")
-    root = extract_root(pkt.c, params)
-    cands = candidate_set(root, rs)
+    cands = candidate_set(_root_per_prime(pkt.c, params, modnum._any_root), rs)
     if not 1 <= pkt.rank <= len(cands):
         raise RankOutOfRange(f"rank {pkt.rank} outside 1..{len(cands)}")
     return cands[pkt.rank - 1]

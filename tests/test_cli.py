@@ -49,6 +49,11 @@ class TestTextCommands:
         code, out, _ = run_cli(capsys, "decode", "--t", "5", "--n", "341", "--c", "87", "--rank", "5")
         assert code == 0 and out == "51\n"
 
+    def test_decode_without_inverse_exponent(self, capsys):
+        # gcd(phi/t, t) = 2 at (6, 13): the paper's exponent does not exist, decode still answers.
+        code, out, err = run_cli(capsys, "decode", "--t", "6", "--p", "13", "--c", "12", "--rank", "1")
+        assert (code, out, err) == (0, "2\n", "")
+
     def test_decode_at_largest_prime_below_2_32(self, capsys):
         # 1988663416 == pow(123456789, 5, 4294967291)
         code, out, _ = run_cli(capsys, "decode", "--t", "5", "--n", "4294967291", "--c", "1988663416", "--rank", "1")
@@ -143,10 +148,6 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err == "NotCoprimeWarning: gcd(11, 187) > 1: decode uniqueness is not guaranteed\n"
 
-    def test_no_solution(self, capsys):
-        code, _, err = run_cli(capsys, "decode", "--t", "6", "--p", "13", "--c", "12", "--rank", "1")
-        assert code == 1 and err.startswith("NoSolution")
-
     def test_not_residue(self, capsys):
         code, out, err = run_cli(capsys, "decode", "--t", "5", "--p", "61", "--c", "2", "--rank", "1")
         assert code == 1 and out == ""
@@ -200,7 +201,7 @@ GOLDEN_ERRORS = (
     ("decode", "--t", "5", "--n", "341", "--c", "87", "--rank", "0"),
     ("decode", "--t", "5", "--n", "61", "--c", "11", "--rank", "6"),
     ("encode", "--t", "5", "--n", "187", "--m", "11"),
-    ("decode", "--t", "6", "--p", "13", "--c", "12", "--rank", "1"),
+    ("decode", "--t", "6", "--p", "13", "--c", "12", "--rank", "1"),  # no inverse exponent; decodes
     ("roots", "--t", "5", "--p", "15"),
     ("encode", "--t", "5", "--p", "65537", "--q", "65539", "--m", "2"),
     ("params", "--t", "13", "--p", "53"),

@@ -6,6 +6,7 @@ draws the same examples and Tier-1 stays deterministic.
 
 import functools
 import json
+import math
 
 import pytest
 
@@ -66,8 +67,9 @@ def test_parse_raises_only_powmap_errors(line):
 
 
 # (t, p, q) keys inside the contract, prime and semiprime, in every divisibility
-# class, including the regimes where decode refuses (gcd(phi/t, t) > 1, t sharing
-# a factor with phi without dividing it, t**2 | f-1), up to the 2**32 bound.
+# class, including the regimes the paper's inverse exponent does not cover
+# (gcd(phi/t, t) > 1, t sharing a factor with phi without dividing it,
+# t**2 | f-1), up to the 2**32 bound.
 DECODE_KEYS = [
     (5, 61, None), (6, 43, None), (12, 13, None), (6, 19, None),  # t exactly
     (5, 43, None), (4, 7, None),  # not divisible
@@ -92,6 +94,21 @@ def keyed_packets(draw):
     t, p, q = draw(st.sampled_from(DECODE_KEYS))
     n = p if q is None else p * q
     return (t, p, q), Packet(t, n, draw(st.integers(0, n - 1)), draw(st.integers(1, t * t)))
+
+
+@st.composite
+def keyed_units(draw):
+    t, p, q = draw(st.sampled_from(DECODE_KEYS))
+    n = p if q is None else p * q
+    m = draw(st.integers(1, n - 1).filter(lambda m: math.gcd(m, n) == 1))
+    return (t, p, q), m
+
+
+@given(keyed_units())
+def test_decode_inverts_encode_on_every_key(keyed):
+    key, m = keyed
+    params, rs = _key(*key)
+    assert decode(encode(m, params, rs), params, rs) == m  # no PowmapError either
 
 
 @given(keyed_packets())

@@ -175,6 +175,22 @@ class TestRunSession:
         assert tr.decoded == 17 and tr.matched
         assert "one-to-one" in tr.setup_note
 
+    def test_one_to_one_note_only_for_trivial_root_set(self):
+        # Not divisible in both, but gcd(6, 10) = 2 leaves the roots {1, 10} mod 11.
+        tr = run_session(make_params(6, 11), 2)
+        assert tr.root_set == (1, 10)
+        assert _steps(tr.bob_steps)["candidates"] == [2, 9]
+        assert "one-to-one" not in tr.setup_note
+        assert "one-to-one" in run_session(make_params(5, 43), 2).setup_note
+
+    def test_session_without_inverse_exponent(self):
+        # t | phi exactly at (6, 13), but gcd(phi/t, t) = 2: no a/res steps, the session still matches.
+        tr = run_session(make_params(6, 13), 2)
+        bob = _steps(tr.bob_steps)
+        assert "a" not in bob and "res" not in bob
+        assert pow(bob["root"], 6, 13) == 12
+        assert tr.decoded == 2 and tr.matched
+
     def test_extracts_root_once(self, monkeypatch):
         calls = []
         extract_root = transform.extract_root

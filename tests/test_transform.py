@@ -26,7 +26,7 @@ from powmap import (
     mapping_table,
     root_set,
 )
-from powmap.modnum import is_prime
+from powmap.modnum import _any_root, is_prime
 
 from worked_examples import (
     CANDIDATES_28_MOD_61,
@@ -163,19 +163,17 @@ class TestExtractRoot:
                 checked += 1
         assert checked == 293  # keys with gcd(t, phi) = 1
 
-    def test_no_solution_cases(self):
-        # t**2 divides p-1 for a prime modulus: no inverse-exponent route.
-        with pytest.raises(NoSolution):
-            extract_root(32, make_params(5, 101))
-        # t**2 divides one factor's totient of a semiprime.
-        with pytest.raises(NoSolution):
-            extract_root(32, make_params(5, 101, 11))
-        # t | phi with gcd obstruction in the t-exactly class.
-        with pytest.raises(NoSolution):
-            extract_root(12, make_params(6, 13))
-        # t does not divide phi and gcd(t, phi) > 1.
-        with pytest.raises(NoSolution):
-            extract_root(10, make_params(6, 11))
+    def test_keys_without_the_paper_route_round_trip(self):
+        # Each key is one regime with no inverse exponent: t**2 | p-1 for a
+        # prime, t**2 | f-1 for one factor of a semiprime, gcd(phi/t, t) > 1
+        # with t | phi exactly, and 1 < gcd(t, phi) < t.
+        for key in ((5, 101), (5, 101, 11), (6, 13), (6, 11)):
+            params, rs = make_params(*key), root_set(*key)
+            c = pow(2, params.t, params.n)
+            assert pow(extract_root(c, params), params.t, params.n) == c
+            for m in range(1, params.n):
+                if math.gcd(m, params.n) == 1:
+                    assert decode(encode(m, params, rs), params, rs) == m, (key, m)
 
     def test_not_residue_cases(self):
         # Inverse-exponent route (t exactly divides phi = 60): the extracted root fails its check.
@@ -267,7 +265,7 @@ class TestEncodeDecode:
 
     def test_forged_cipher_not_residue(self):
         # In range and a unit, but no message encrypts to it: decode names the refusal.
-        for factors, msg in (((61,), "extracted 32, but 32**5 ≢ 2 (mod 61)"),
+        for factors, msg in (((61,), "2 has no 5-th root mod 61"),
                              ((11, 31), "2 has no 5-th root mod 11")):
             params, rs = make_params(5, *factors), root_set(5, *factors)
             with pytest.raises(NotResidue) as exc:
@@ -285,6 +283,30 @@ class TestEncodeDecode:
                 if math.gcd(m, n) == 1:
                     oracle = sorted({m * r % n for r in rs.roots}).index(m) + 1
                     assert encode(m, params, rs).rank == oracle, (t, factors, m)
+
+    def test_round_trip_sweep_over_small_keys(self):
+        # t = 2..12, every prime p < 1000 alone and with each of the next five
+        # primes, m in (2, 3, n-1) where m is a unit: every divisibility class
+        # and every regime the paper's inverse exponent does not cover.
+        primes = [p for p in range(3, 1000) if is_prime(p)]
+        checked = 0
+        for t in range(2, 13):
+            for i, p in enumerate(primes):
+                for q in [None, *primes[i + 1:i + 6]]:
+                    params, rs = make_params(t, p, q), root_set(t, p, q)
+                    n = params.n
+                    for m in (2, 3, n - 1):
+                        if math.gcd(m, n) != 1:
+                            continue
+                        pkt = encode(m, params, rs)
+                        decoded = decode(pkt, params, rs)
+                        assert decoded == m, (t, p, q, m)
+                        root = extract_root(pkt.c, params)
+                        assert decoded == candidate_set(root, rs)[pkt.rank - 1], (t, p, q, m)
+                        for f in (p,) if q is None else (p, q):
+                            assert pow(_any_root(pkt.c % f, t, f), t, f) == pkt.c % f, (t, f, m)
+                        checked += 1
+        assert checked == 32505
 
     def test_rank_out_of_range(self):
         params, rs = make_params(5, 61), root_set(5, 61)
