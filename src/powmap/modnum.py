@@ -164,17 +164,16 @@ def _root_plan(t: int, p: int) -> tuple:
     """What a t-th root mod the prime p needs that does not depend on the cipher.
 
     Write p-1 = A*B with A made only of primes dividing t.  Returns
-    (b_exp, sylow, levels):
+    (b_exp, sylow, unity, exps):
     - c**b_exp is a t-th root of the part of c whose order divides B;
     - sylow has one entry (ell, s, m, g_inv, table, gw, ell**k) per prime
       ell | t with ell**s || p-1 and ell**k || t, s > k: g generates the
       ell-Sylow subgroup, m = (p-1)/ell**s, table = {gamma**j: j} for
       gamma = g**(ell**(s-1)), and gw = g**w with w the inverse of
       m*t/ell**k mod ell**(s-k);
-    - levels has one (e, {w**e: w}) per e in t/l0, t/(l0*l1), ..., 1, for
-      the prime factors l0 <= l1 <= ... of t, with w over the gcd(t, p-1)
-      roots of unity whose power at the level before (t at the first) is 1;
-      a level with one entry, {1: 1}, is left out.
+    - unity holds the gcd(t, p-1) t-th roots of unity;
+    - exps is t/l0, t/(l0*l1), ..., 1 for the prime factors l0 <= l1 <= ...
+      of t.
     """
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
@@ -195,15 +194,9 @@ def _root_plan(t: int, p: int) -> tuple:
     b_exp = a_part * pow(a_part * t, -1, (p - 1) // a_part)
     d = math.gcd(t, p - 1)
     zeta = _unity_generator(d, p)
-    unity = [pow(zeta, j, p) for j in range(d)]
-    levels, prev = [], t
-    for ell in ells:
-        e = prev // ell
-        level = {pow(w, e, p): w for w in unity if pow(w, prev, p) == 1}
-        if len(level) > 1:
-            levels.append((e, level))
-        prev = e
-    return b_exp, tuple(sylow), tuple(levels)
+    unity = tuple(pow(zeta, j, p) for j in range(d))
+    exps = tuple(t // math.prod(ells[:i + 1]) for i in range(len(ells)))
+    return b_exp, tuple(sylow), unity, exps
 
 
 def _any_root(c: int, t: int, p: int) -> int | None:
@@ -214,7 +207,7 @@ def _any_root(c: int, t: int, p: int) -> int | None:
     of a discrete log, read by dict lookup (Adleman-Manders-Miller).  Which
     root comes out is whatever the plan gives; t is not range-checked here.
     """
-    b_exp, sylow, _ = _root_plan(t, p)  # checks p before any early return
+    b_exp, sylow, _, _ = _root_plan(t, p)  # checks p before any early return
     c %= p
     if c == 0:
         return 0
@@ -240,9 +233,5 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
     x = _any_root(c, t, p)
     if not x:  # None, or 0 for c ≡ 0
         return x
-    # A w whose power at the level before is 1 leaves the earlier powers of
-    # x as they are, so each level makes x**e least among the roots left.
-    for e, level in _root_plan(t, p)[2]:
-        xe = pow(x, e, p)
-        x = x * level[min(level, key=lambda v: xe * v % p)] % p
-    return x
+    _, _, unity, exps = _root_plan(t, p)
+    return min((x * w % p for w in unity), key=lambda r: [pow(r, e, p) for e in exps])

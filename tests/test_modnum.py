@@ -260,11 +260,14 @@ class TestNthRootModPrime:
                     assert nth_root_mod_prime(c, t, p) == x, (c, t, p)
 
     def test_root_choice_at_large_primes(self):
-        # The same rule at primes far beyond a full scan: p - 1 is divisible
-        # by 27720 = lcm(2..12), so gcd(t, p-1) = t.  The roots of unity come
+        # The same rule at primes far beyond a full scan.  For the first
+        # three, p - 1 is divisible by 27720 = lcm(2..12), so gcd(t, p-1) = t.
+        # 4294955009 has 2**12 || p-1 and 3 ∤ p-1, so gcd(t, p-1) < t for
+        # t = 3, 6, 12; 4294948699 has 3**9 || p-1 and p ≡ 3 (mod 4), a Sylow
+        # subgroup deeper than t's share of it.  The roots of unity come
         # from the distinct pow(z, (p-1)/d, p), z = 2, 3, ..., and the root
         # returned must be least by the rule among its products with them.
-        for p in (4294964521, 4294742761, 1025641):
+        for p in (4294964521, 4294742761, 1025641, 4294955009, 4294948699):
             for t in range(2, 13):
                 d, unity, z = math.gcd(t, p - 1), set(), 2
                 while len(unity) < d:

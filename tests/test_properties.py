@@ -12,19 +12,20 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from powmap import (
     Packet,
     PowmapError,
     decode,
     encode,
+    extract_root,
     make_params,
     parse_packet,
     root_set,
     serialize_packet,
 )
-from powmap.modnum import FACTOR_BOUND, T_BOUND
+from powmap.modnum import FACTOR_BOUND, T_BOUND, nth_root_mod_prime
 from powmap.protocol import PACKET_FIELDS
 
 settings.register_profile("powmap", derandomize=True, database=None, deadline=None,
@@ -120,3 +121,40 @@ def test_decode_round_trips_or_raises_powmap_error(keyed):
     except PowmapError:
         return
     assert encode(m, params, rs) == pkt
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_keys_from_the_whole_contract(data):
+    # Any t and any prime or semiprime key below 2**32, not only DECODE_KEYS.
+    sympy = pytest.importorskip("sympy")
+
+    def prime_below(hi):
+        # Half the draws come from the top half, which hypothesis seldom reaches.
+        return sympy.prevprime(data.draw(st.integers(4, hi) | st.integers(hi // 2, hi)))
+
+    t = data.draw(st.integers(2, T_BOUND))
+    if data.draw(st.booleans()):
+        p, q = prime_below(FACTOR_BOUND), None
+    else:
+        p = sympy.prevprime(data.draw(st.integers(4, 2**16)))
+        q = prime_below((FACTOR_BOUND - 1) // p + 1)
+        assume(q != p)
+    params, rs = make_params(t, p, q), root_set(t, p, q)
+    n = params.n
+    m = data.draw(st.integers(1, n - 1).filter(lambda m: math.gcd(m, n) == 1))
+    pkt = encode(m, params, rs)
+    assert decode(pkt, params, rs) == m
+    assert pow(extract_root(pkt.c, params), t, n) == pkt.c
+    # Per prime factor, the canonical root is the least by its rule among its
+    # products with the roots of unity, found here as pow(z, (f-1)/d, f), z = 1, 2, ....
+    ells = sympy.factorint(t, multiple=True)
+    exps = [t // math.prod(ells[:i + 1]) for i in range(len(ells))]
+    for f in (p, q) if q else (p,):
+        d, unity, z = math.gcd(t, f - 1), set(), 1
+        while len(unity) < d:  # all d appear before z reaches f, where the power is 0
+            unity.add(pow(z, (f - 1) // d, f))
+            z += 1
+        r = nth_root_mod_prime(pkt.c % f, t, f)
+        assert r == min((r * w % f for w in unity),
+                        key=lambda x: [pow(x, e, f) for e in exps]), (t, p, q, m)
