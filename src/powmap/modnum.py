@@ -151,12 +151,26 @@ def _prime_factors(t: int) -> list[int]:
 
 
 def _unity_generator(d: int, p: int) -> int:
-    """An element of exact order d mod the prime p, for d | p-1: the first
-    g = z**((p-1)/d), z = 1, 2, ..., whose element_order is d."""
+    """The first g = z**((p-1)/d), z = 1, 2, ..., of exact order d mod the prime p:
+    g**(d/ell) ≢ 1 for each prime ell | d.  NotDivisor when d does not divide p-1."""
+    e, rem = divmod(p - 1, d)
+    if rem:
+        raise NotDivisor(f"{d} does not divide {p - 1}")
+    cofactors = [d // ell for ell in set(_prime_factors(d))]
     for z in range(1, p):
-        g = pow(z, (p - 1) // d, p)
-        if element_order(g, p, d) == d:
+        g = pow(z, e, p)
+        if 1 not in [pow(g, c, p) for c in cofactors]:
             return g
+
+
+def _unity_orders(t: int, p: int) -> dict[int, int]:
+    """{g**k: d/gcd(k, d)} for g of order d = gcd(t, p-1): the t-th roots of unity mod p."""
+    d = math.gcd(t, p - 1)
+    g, x, orders = _unity_generator(d, p), 1, {}
+    for k in range(d):
+        orders[x] = d // math.gcd(k, d)
+        x = x * g % p
+    return orders
 
 
 @functools.lru_cache(maxsize=None)
@@ -192,9 +206,7 @@ def _root_plan(t: int, p: int) -> tuple:
             w = pow(m * t // ell**k, -1, ell ** (s - k))
             sylow.append((ell, s, m, pow(g, -1, p), table, pow(g, w, p), ell**k))
     b_exp = a_part * pow(a_part * t, -1, (p - 1) // a_part)
-    d = math.gcd(t, p - 1)
-    zeta = _unity_generator(d, p)
-    unity = tuple(pow(zeta, j, p) for j in range(d))
+    unity = tuple(_unity_orders(t, p))
     exps = tuple(t // math.prod(ells[:i + 1]) for i in range(len(ells)))
     return b_exp, tuple(sylow), unity, exps
 

@@ -84,23 +84,21 @@ def lift_roots(rs_p: RootSet, rs_q: RootSet) -> RootSet:
     if rs_p.t != rs_q.t:
         raise ValueError(f"exponents differ: {rs_p.t} vs {rs_q.t}")
     basis = modnum.CrtBasis.for_primes(rs_p.modulus, rs_q.modulus)
-    # A CRT pair's order is the lcm of its two factors' orders.
-    orders = {modnum.crt_pair(a, b, basis): math.lcm(rs_p.orders[a], rs_q.orders[b])
-              for a in rs_p.roots for b in rs_q.roots}
-    return _from_orders(basis.n, rs_p.t, orders)
+    return _crt_join(rs_p.t, basis, rs_p.orders, rs_q.orders)
+
+
+def _crt_join(t: int, basis: modnum.CrtBasis, orders_p: dict, orders_q: dict) -> RootSet:
+    """The root set mod p*q from {root: order} mod p and mod q, one CRT term per side."""
+    p, q, q_inv_mod_p, p_inv_mod_q, n = basis
+    us = [(a * q * q_inv_mod_p % n, d) for a, d in orders_p.items()]
+    vs = [(b * p * p_inv_mod_q % n, e) for b, e in orders_q.items()]
+    return _from_orders(n, t, {(u + v) % n: math.lcm(d, e) for u, d in us for v, e in vs})
 
 
 def eligible_generators(rs: RootSet) -> list[int]:
     """The roots of multiplicative order exactly t, i.e. those whose powers
     enumerate a full length-t cycle without repetition."""
     return [r for r in rs.roots if rs.orders[r] == rs.t]
-
-
-def _prime_root_set(t: int, p: int) -> RootSet:
-    d = math.gcd(t, p - 1)
-    g = modnum._unity_generator(d, p)
-    # g has order d, so g**k has order d / gcd(k, d).
-    return _from_orders(p, t, {pow(g, k, p): d // math.gcd(k, d) for k in range(d)})
 
 
 def root_set(t: int, p: int, q: int | None = None) -> RootSet:
@@ -110,6 +108,6 @@ def root_set(t: int, p: int, q: int | None = None) -> RootSet:
     if q is None:
         if not modnum.is_prime(p):
             raise InvalidPrime(f"{p} is not prime")
-        return _prime_root_set(t, p)
-    modnum.CrtBasis.for_primes(p, q)  # checks the pair before either set is built
-    return lift_roots(_prime_root_set(t, p), _prime_root_set(t, q))
+        return _from_orders(p, t, modnum._unity_orders(t, p))
+    basis = modnum.CrtBasis.for_primes(p, q)  # checks the pair before either side is built
+    return _crt_join(t, basis, modnum._unity_orders(t, p), modnum._unity_orders(t, q))

@@ -1,0 +1,99 @@
+"""SHA-256 digests of what powmap's root functions return, to compare two trees.
+
+Run from the repository root as ``PYTHONPATH=src python tests/sweeps.py``
+(a few seconds).  It prints one ``<sweep> <digest>`` line per sweep.  Each
+digest hashes, in a fixed order, the ``repr`` of every result, or the
+exception class name of a call that raises, with ``;`` after each.  Two
+trees that print the same digests return the same values, in the same
+order, over the whole sweep.  The file name does not match ``test_*.py``,
+so pytest does not collect it.
+
+- ``root_set``: every ``t = 1..12`` over prime keys (primes below 400, large
+  primes, composites) and ordered semiprime pairs; the ``repr`` shows
+  ``roots`` and ``orders.items()`` in their stored order.
+- ``_root_plan``: the cached per-key plan of ``modnum``, ``t = 1..12`` over
+  primes below 700 and large primes, the deep 2-Sylow ones among them.
+- ``roots``: ``nth_root_mod_prime`` and ``sqrtmod`` over every residue of
+  each odd prime below 700, ``nth_root_mod_prime`` on seeded ciphers at
+  large primes, and ``extract_root`` on seeded ciphers under eight keys.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+from powmap import extract_root, make_params, root_set
+from powmap.modnum import _root_plan, is_prime, nth_root_mod_prime, sqrtmod
+
+SMALL_PRIMES = [p for p in range(3, 700) if is_prime(p)]
+LARGE_PRIMES = (65537, 65521, 999983, 2**31 - 1, 4294967291, 1000081, 4294967279)
+DEEP_PRIMES = (3221225473, 2013265921, 4293918721, 4294964521, 4294955009, 4294948699)
+SEMI_FACTORS = (2, 3, 5, 7, 11, 13, 17, 19, 31, 37, 43, 61, 73, 97, 181, 241, 65537)
+EXTRACT_KEYS = ((61,), (11, 17), (11, 31), (43,), (13, 31), (65497, 65479), (193, 307), (97, 967))
+
+
+class Digest:
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def add(self, fn, *args):
+        try:
+            out = repr(fn(*args))
+        except Exception as exc:
+            out = type(exc).__name__
+        self._h.update(out.encode() + b";")
+
+    def hexdigest(self) -> str:
+        return self._h.hexdigest()
+
+
+def root_set_digest() -> str:
+    d = Digest()
+    primes = [p for p in SMALL_PRIMES if p < 400] + [*LARGE_PRIMES, *DEEP_PRIMES, 1, 4, 341, 561]
+    for t in range(1, 13):
+        for p in primes:
+            d.add(root_set, t, p)
+        for p in SEMI_FACTORS + (15,):
+            for q in SEMI_FACTORS:
+                d.add(root_set, t, p, q)
+    return d.hexdigest()
+
+
+def root_plan_digest() -> str:
+    d = Digest()
+    for p in SMALL_PRIMES + [*LARGE_PRIMES, *DEEP_PRIMES]:
+        for t in range(1, 13):
+            d.add(_root_plan, t, p)
+    return d.hexdigest()
+
+
+def roots_digest() -> str:
+    d = Digest()
+    for p in SMALL_PRIMES:
+        for t in range(1, 13):
+            for c in range(p):
+                d.add(nth_root_mod_prime, c, t, p)
+        for c in range(p):
+            d.add(sqrtmod, c, p)
+    rng = random.Random(5)
+    for p in LARGE_PRIMES:
+        for t in range(1, 13):
+            for _ in range(300):
+                c = pow(rng.randrange(1, p), t, p) if rng.random() < 0.8 else rng.randrange(p)
+                d.add(nth_root_mod_prime, c, t, p)
+    for t in range(2, 13):
+        for key in EXTRACT_KEYS:
+            try:
+                params = make_params(t, *key)
+            except Exception:
+                continue
+            for _ in range(200):
+                d.add(extract_root, pow(rng.randrange(1, params.n), t, params.n), params)
+    return d.hexdigest()
+
+
+if __name__ == "__main__":
+    for name, sweep in (("root_set", root_set_digest), ("_root_plan", root_plan_digest),
+                        ("roots", roots_digest)):
+        print(name, sweep())

@@ -12,6 +12,7 @@ from powmap import (
 )
 from powmap.modnum import (
     CrtBasis,
+    _unity_generator,
     crt_pair,
     element_order,
     factor_semiprime,
@@ -20,6 +21,8 @@ from powmap.modnum import (
     nth_root_mod_prime,
     sqrtmod,
 )
+
+from worked_examples import primes_below
 
 
 class TestXgcdInvmod:
@@ -168,6 +171,37 @@ class TestElementOrder:
     def test_exponent_below_one_is_refused(self):
         with pytest.raises(ValueError):
             element_order(2, 7, 0)
+
+
+def _first_element_of_order(d, p):
+    """The first z**((p-1)/d), z = 1, 2, ..., whose powers reach 1 after exactly d steps."""
+    for z in range(1, p):
+        g = x = pow(z, (p - 1) // d, p)
+        order = 1
+        while x != 1:
+            x = x * g % p
+            order += 1
+        if order == d:
+            return g
+
+
+class TestUnityGenerator:
+    def test_matches_power_scan_oracle(self):
+        for p in primes_below(2000):
+            for d in range(1, p):
+                if (p - 1) % d == 0 and math.factorial(12) % d == 0:
+                    assert _unity_generator(d, p) == _first_element_of_order(d, p), (d, p)
+
+    def test_sylow_orders_of_deep_primes(self):
+        # The 2-Sylow generators that _root_plan asks for at the deepest primes of the contract.
+        assert _unity_generator(2**16, 65537) == 3
+        assert _unity_generator(2**27, 2013265921) == 1227303670
+        assert _unity_generator(2**30, 3221225473) == 125
+
+    def test_order_not_dividing_p_minus_one(self):
+        # No element mod 13 has order 5; 4 = 2**(12 // 5) passes the order test alone.
+        with pytest.raises(NotDivisor):
+            _unity_generator(5, 13)
 
 
 class TestFactorSemiprime:

@@ -113,6 +113,12 @@ class TestLifting:
         with pytest.raises(ValueError):
             lift_roots(roots_bruteforce(5, 11), roots_bruteforce(6, 13))
 
+    def test_orders_keyed_like_roots(self):
+        # RootSet equality ignores the key order of orders; `powmap roots --format json` prints it.
+        for t, p, q in ((5, 11, 17), (5, 31, 11), (5, 7, 3), (6, 13, 7), (12, 37, 73)):
+            lifted = lift_roots(root_set(t, p), root_set(t, q))
+            assert list(lifted.orders) == list(lifted.roots), (t, p, q)
+
     def test_closed_under_multiplication(self):
         for rs in (root_set(5, 31, 11), root_set(6, 31, 13)):
             members = set(rs.roots)
@@ -162,6 +168,17 @@ class TestClosedForm:
                 assert list(rs.roots) == sorted(residue.nthroot_mod(1, t, n, all_roots=True))
                 for r in rs.roots:
                     assert rs.orders[r] == residue.n_order(r, n) == element_order(r, n, t)
+
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_orders_keyed_like_roots(self, t):
+        # RootSet equality ignores the key order of orders; `powmap roots --format json` prints it.
+        # (5, 7, 3) and (5, 11, 7) have a side with the root 1 only; (12, 37, 73) has 144 roots.
+        keys = [(p, None) for p in (3, 7, 13, 37, 61, 73, 4294967291)]
+        keys += [(5, 7), (7, 3), (11, 7), (11, 31), (13, 7), (37, 73), (73, 37)]
+        for p, q in keys:
+            rs = root_set(t, p, q)
+            assert list(rs.orders) == list(rs.roots), (t, p, q)
+        assert len(root_set(12, 37, 73).roots) == 144
 
     def test_large_prime(self):
         p = 4294967291  # the largest prime below 2**32; p-1 = 2 * 5 * 19 * 22605091
