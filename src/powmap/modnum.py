@@ -2,13 +2,16 @@
 
 Everything here is a pure function of its arguments: inverses, CRT
 recombination, modular square and t-th roots, multiplicative
-orders and desk-scale factoring.  Moduli are assumed to be desk scale;
-the factoring helper enforces n < 2**32.
+orders, primality and desk-scale factoring.  Moduli are assumed to be desk
+scale; primality and factoring enforce n < 2**32.  Both first screen n with
+one gcd against the primes below 1009, then run Miller-Rabin or
+Pollard-Brent, so checking and factoring a key cost a polynomial in log n.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import namedtuple
 
@@ -119,26 +122,94 @@ def _least_factor(n: int) -> int:
     return n
 
 
+def _primes_below(bound: int) -> frozenset[int]:
+    """The primes below bound, by the sieve of Eratosthenes."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+    for f in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, bound, f)))
+    return frozenset(itertools.compress(range(bound), sieve))
+
+
+# n shares a factor with _SMALL_PRODUCT iff n has a prime factor below _SCREEN.
+_SCREEN = 1009
+_SMALL_PRIMES = _primes_below(_SCREEN)
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check, fine at desk scale."""
-    return n >= 2 and _least_factor(n) == n
+    """Deterministic primality for n < 2**32; NotSupported for n >= 2**32.
+
+    A lookup below 1009; above, one gcd with the product of the primes
+    below 1009, which settles every n < 1009**2; above that,
+    Miller-Rabin with the bases 2, 7 and 61, which no composite below
+    4,759,123,141 passes (Jaeschke, Math. Comp. 61, 1993).
+    """
+    if n < _SCREEN:
+        return n in _SMALL_PRIMES
+    if n >= FACTOR_BOUND:
+        raise NotSupported(f"{n} exceeds the 2**32 desk-scale bound")
+    if math.gcd(n, _SMALL_PRODUCT) > 1:
+        return False
+    if n < _SCREEN**2:
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for a in (2, 7, 61):
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A factor 1 < f < n of the composite n, which is not a square and has no
+    prime factor below 1009: Pollard's rho on y -> y*y + c from y = 2 with
+    Brent's cycle finding, one gcd per run of steps, for c = 1, 2, ... in turn."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x, prod = y, 1
+            for _ in range(r):
+                y = (y * y + c) % n
+                prod = prod * (x - y) % n
+            g, r = math.gcd(prod, n), 2 * r
+        if g == n:  # the run met every prime of n: retrace it one step at a time
+            y, g = x, 1
+            while g == 1:
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+        if g < n:
+            return g
 
 
 def factor_semiprime(n: int) -> tuple[int, int | None]:
     """(n, None) for a prime n, else the two prime factors (p, q), p <= q.
 
-    Trial division up to sqrt(n).  NotSupported when n carries three or
-    more prime factors counted with multiplicity, or n >= 2**32.
+    A factor comes from trial division below 1009 when n has a prime
+    factor there, from isqrt when n is a square, else from Pollard-Brent.
+    NotSupported when n carries three or more prime factors counted with
+    multiplicity, or n >= 2**32.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if n >= FACTOR_BOUND:
-        raise NotSupported(f"{n} exceeds the 2**32 desk-scale bound")
-    p = _least_factor(n)
-    if p == n:
+    if is_prime(n):  # NotSupported for n >= 2**32
         return (n, None)
-    if is_prime(n // p):
-        return (p, n // p)
+    small, root = math.gcd(n, _SMALL_PRODUCT), math.isqrt(n)
+    if small > 1:
+        f = _least_factor(small)  # stops at n's least prime factor, below 1009
+    elif root * root == n:
+        f = root
+    else:
+        f = _pollard_brent(n)
+    p, q = sorted((f, n // f))
+    if is_prime(p) and is_prime(q):
+        return (p, q)
     raise NotSupported(f"{n} has more than two prime factors")
 
 
@@ -151,13 +222,16 @@ def _prime_factors(t: int) -> list[int]:
 
 
 def _unity_generator(d: int, p: int) -> int:
-    """The first g = z**((p-1)/d), z = 1, 2, ..., of exact order d mod the prime p:
-    g**(d/ell) ≢ 1 for each prime ell | d.  NotDivisor when d does not divide p-1."""
+    """The first g = z**((p-1)/d), z = 2, 3, ..., of exact order d > 1 mod the prime p:
+    g**(d/ell) ≢ 1 for each prime ell | d.  1 for d = 1 (z = 1 gives g = 1, which
+    has order d only then).  NotDivisor when d does not divide p-1."""
     e, rem = divmod(p - 1, d)
     if rem:
         raise NotDivisor(f"{d} does not divide {p - 1}")
+    if d == 1:
+        return 1
     cofactors = [d // ell for ell in set(_prime_factors(d))]
-    for z in range(1, p):
+    for z in range(2, p):
         g = pow(z, e, p)
         if 1 not in [pow(g, c, p) for c in cofactors]:
             return g

@@ -5,8 +5,9 @@ Run from the repository root as ``PYTHONPATH=src python tests/sweeps.py``
 digest hashes, in a fixed order, the ``repr`` of every result, or the
 exception class name of a call that raises, with ``;`` after each.  Two
 trees that print the same digests return the same values, in the same
-order, over the whole sweep.  The file name does not match ``test_*.py``,
-so pytest does not collect it.
+order, over the whole sweep.  ``tests/data/sweeps.txt`` holds the
+current output, and CI compares the two.  The file name does not match
+``test_*.py``, so pytest does not collect it.
 
 - ``root_set``: every ``t = 1..12`` over prime keys (primes below 400, large
   primes, composites) and ordered semiprime pairs; the ``repr`` shows
@@ -16,6 +17,10 @@ so pytest does not collect it.
 - ``roots``: ``nth_root_mod_prime`` and ``sqrtmod`` over every residue of
   each odd prime below 700, ``nth_root_mod_prime`` on seeded ciphers at
   large primes, and ``extract_root`` on seeded ciphers under eight keys.
+- ``primes``: ``is_prime`` and ``factor_semiprime`` on every ``n < 40,000``,
+  on keys near ``2**32``, on squares and products around the small-prime
+  bound 1009, and on strong pseudoprimes to the small bases.  This sweep
+  also hashes each error's message.
 """
 
 from __future__ import annotations
@@ -24,24 +29,29 @@ import hashlib
 import random
 
 from powmap import extract_root, make_params, root_set
-from powmap.modnum import _root_plan, is_prime, nth_root_mod_prime, sqrtmod
+from powmap.modnum import _root_plan, factor_semiprime, is_prime, nth_root_mod_prime, sqrtmod
 
 SMALL_PRIMES = [p for p in range(3, 700) if is_prime(p)]
 LARGE_PRIMES = (65537, 65521, 999983, 2**31 - 1, 4294967291, 1000081, 4294967279)
 DEEP_PRIMES = (3221225473, 2013265921, 4293918721, 4294964521, 4294955009, 4294948699)
 SEMI_FACTORS = (2, 3, 5, 7, 11, 13, 17, 19, 31, 37, 43, 61, 73, 97, 181, 241, 65537)
 EXTRACT_KEYS = ((61,), (11, 17), (11, 31), (43,), (13, 31), (65497, 65479), (193, 307), (97, 967))
+# 2047, 1373653, 25326001 and 3215031751 are strong pseudoprimes to base 2, the last also to 3, 5
+# and 7; 2284453, 27509653 and 87558127 pass two of the bases 2, 7 and 61 and have no factor below 1009.
+PRIME_CASES = (4294967291, 4294967279, 65497 * 65479, 65521**2, 1009**2, 1009 * 1013, 2**32 - 1,
+               2047, 1373653, 25326001, 3215031751, 2284453, 27509653, 87558127)
 
 
 class Digest:
-    def __init__(self):
+    def __init__(self, messages: bool = False):
         self._h = hashlib.sha256()
+        self._messages = messages
 
     def add(self, fn, *args):
         try:
             out = repr(fn(*args))
         except Exception as exc:
-            out = type(exc).__name__
+            out = f"{type(exc).__name__}: {exc}" if self._messages else type(exc).__name__
         self._h.update(out.encode() + b";")
 
     def hexdigest(self) -> str:
@@ -93,7 +103,15 @@ def roots_digest() -> str:
     return d.hexdigest()
 
 
+def primes_digest() -> str:
+    d = Digest(messages=True)
+    for n in [*range(40_000), *PRIME_CASES]:
+        d.add(is_prime, n)
+        d.add(factor_semiprime, n)
+    return d.hexdigest()
+
+
 if __name__ == "__main__":
     for name, sweep in (("root_set", root_set_digest), ("_root_plan", root_plan_digest),
-                        ("roots", roots_digest)):
+                        ("roots", roots_digest), ("primes", primes_digest)):
         print(name, sweep())

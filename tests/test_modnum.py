@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -9,7 +10,9 @@ from powmap import (
     NotInvertible,
     NotSupported,
     PowmapError,
+    root_set,
 )
+from powmap import modnum
 from powmap.modnum import (
     CrtBasis,
     _unity_generator,
@@ -225,9 +228,12 @@ class TestFactorSemiprime:
             factor_semiprime(1)
 
     def test_prime_beyond_2_32_not_supported(self):
-        # 4294967311 is prime, so only the size bound refuses it.
+        # 4294967311 is prime, so only the size bound refuses it, with one message on every path.
+        for call in (factor_semiprime, is_prime, lambda n: root_set(2, n)):
+            with pytest.raises(NotSupported, match=r"^4294967311 exceeds the 2\*\*32 desk-scale bound$"):
+                call(4294967311)
         with pytest.raises(NotSupported):
-            factor_semiprime(4294967311)
+            is_prime(2**32)
 
     def test_against_trial_division(self):
         def prime_factors(n):
@@ -255,6 +261,62 @@ class TestFactorSemiprime:
             assert is_prime(n) == slow(n)
         assert is_prime(4294967291)  # the largest prime below 2**32
         assert not is_prime(65497 * 65479)
+
+
+# Strong pseudoprimes to base 2 (the last also to 3, 5 and 7), then composites with no factor
+# below 1009 that pass two of the bases 2, 7 and 61: each of the three bases rejects one of them.
+PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2284453, 27509653, 87558127)
+
+
+class TestPrimalityOracles:
+    """is_prime and factor_semiprime against oracles that share none of their code."""
+
+    def test_is_prime_against_sieve(self):
+        primes = set(primes_below(200_000))
+        for n in range(-2, 200_000):
+            assert is_prime(n) == (n in primes), n
+
+    def test_is_prime_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(17)
+        for n in [rng.randrange(2**32) for _ in range(3000)] + list(PSEUDOPRIMES):
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_factor_semiprime_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(29)
+
+        def prime_in(lo, hi):  # a prime in [lo, hi), for a prime lo
+            return sympy.prevprime(rng.randrange(lo + 1, hi))
+
+        ns = [65521**2, 65519 * 65521, 1009**2, 1009 * 1013, 2**32 - 1, *PSEUDOPRIMES]
+        for _ in range(400):  # each factor drawn below or above 1009
+            p = prime_in(3, 1009) if rng.random() < 0.5 else prime_in(1009, 2**16)
+            q = prime_in(3, 1009) if rng.random() < 0.3 else prime_in(1009, 2**32 // p)
+            ns.append(p * q)
+        ns += [prime_in(3, 65521) ** 2 for _ in range(100)]
+        ns += [rng.randrange(2, 2**32) for _ in range(300)]
+        for n in ns:
+            factors = sorted(sympy.factorint(n, multiple=True))
+            if len(factors) > 2:
+                with pytest.raises(NotSupported, match="more than two prime factors"):
+                    factor_semiprime(n)
+            else:
+                assert factor_semiprime(n) == (*factors, None)[:2], n
+
+    def test_no_trial_division_past_the_screen(self, monkeypatch):
+        # Near 2**32 the checks run one gcd, Miller-Rabin and Pollard-Brent; trial division
+        # of any n >= 1009**2 would be O(sqrt n) again.
+        least_factor = modnum._least_factor
+
+        def guarded(n):
+            assert n < 1009**2, f"trial division of {n}"
+            return least_factor(n)
+
+        monkeypatch.setattr(modnum, "_least_factor", guarded)
+        assert is_prime(4294967291)
+        assert factor_semiprime(65497 * 65479) == (65479, 65497)
+        assert factor_semiprime(65521**2) == (65521, 65521)
 
 
 class TestNthRootModPrime:
