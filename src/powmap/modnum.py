@@ -39,10 +39,8 @@ def invmod(a: int, modulus: int) -> int:
 
 
 class CrtBasis(namedtuple("CrtBasis", "p q q_inv_mod_p p_inv_mod_q n")):
-    """Precomputed recombination data for two distinct primes p and q.
-
-    q_inv_mod_p and p_inv_mod_q satisfy q*q_inv_mod_p ≡ 1 (mod p) and
-    p*p_inv_mod_q ≡ 1 (mod q).
+    """Recombination data for two distinct primes p and q, with q*q_inv_mod_p ≡ 1
+    (mod p) and p*p_inv_mod_q ≡ 1 (mod q).  for_primes builds one per call.
     """
 
     __slots__ = ()
@@ -59,8 +57,8 @@ class CrtBasis(namedtuple("CrtBasis", "p q q_inv_mod_p p_inv_mod_q n")):
         return cls(*iterable)  # namedtuple's own _make, which _replace calls, skips __new__
 
     @classmethod
-    @functools.lru_cache(maxsize=None)
     def for_primes(cls, p: int, q: int) -> "CrtBasis":
+        """Checks the pair and builds its basis: key set-up, never decode (Garner's join)."""
         if p == q:
             raise InvalidPrime("p and q must differ")
         if not (is_prime(p) and is_prime(q)):
@@ -98,8 +96,8 @@ def element_order(a: int, modulus: int, t: int) -> int:
     while the power stays 1.  Raises NotDivisor when a**t ≢ 1, i.e. a is
     not a t-th root of unity.
     """
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    if not 1 <= t <= T_BOUND:  # before t is factored by trial division
+        raise ValueError(f"t must be in 1..{T_BOUND}, got {t}")
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise NotCoprime(f"gcd({a}, {modulus}) > 1")

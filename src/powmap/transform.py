@@ -118,7 +118,7 @@ def extract_root(c: int, params: Params) -> int:
 
     Where inverse_exponent succeeds on phi(n), r = c**res, the paper's
     route.  Every other key: the canonical t-th root mod each prime factor
-    from modnum.nth_root_mod_prime, joined by CRT for a semiprime.
+    from modnum.nth_root_mod_prime, joined in Garner's form for a semiprime.
     NotResidue when c has no t-th root.
     """
     t, n = params.t, params.n
@@ -134,8 +134,8 @@ def extract_root(c: int, params: Params) -> int:
 
 
 def _root_per_prime(c: int, params: Params, root_mod_prime) -> int:
-    """A t-th root of c mod n from root_mod_prime(c % f, t, f) for each prime
-    factor f, joined by CRT for a semiprime; NotResidue where one has none."""
+    """A t-th root of c mod n: root_mod_prime(c % f, t, f) per prime factor f, joined in
+    Garner's form for a semiprime.  NotResidue where one has none; NotInvertible if p == q."""
     parts = []
     for f in (params.p,) if params.q is None else (params.p, params.q):
         root_f = root_mod_prime(c % f, params.t, f)  # checked there: root_f**t ≡ c (mod f)
@@ -144,7 +144,8 @@ def _root_per_prime(c: int, params: Params, root_mod_prime) -> int:
         parts.append(root_f)
     if params.q is None:
         return parts[0]
-    return modnum.crt_pair(*parts, modnum.CrtBasis.for_primes(params.p, params.q))
+    (r_p, r_q), p, q = parts, params.p, params.q
+    return r_q + q * ((r_p - r_q) * modnum.invmod(q, p) % p)
 
 
 def candidate_set(x: int, rs: RootSet) -> list[int]:
@@ -158,8 +159,11 @@ def candidate_set(x: int, rs: RootSet) -> list[int]:
 
 
 def encode(m: int, params: Params, rs: RootSet) -> Packet:
-    """Encrypt m and rank it: 1 + the number of its (distinct) candidates below m."""
+    """Encrypt m and rank it: 1 + the number of its (distinct) candidates below m.
+    ValueError when rs belongs to another exponent or modulus."""
     n = params.n
+    if rs.t != params.t or rs.modulus != n:
+        raise ValueError("root set does not match the key")
     if math.gcd(m, n) != 1:
         raise NotCoprime(f"gcd({m}, {n}) > 1")
     if not 1 <= m < n:
@@ -172,11 +176,15 @@ def decode(pkt: Packet, params: Params, rs: RootSet) -> int:
     """Invert encode: take any t-th root of the cipher, pick by rank.
 
     Any root will do, since all give the same candidate set, so one route
-    serves every key: modnum._any_root per prime factor, joined by CRT.  A
-    non-unit cipher is NotCoprime, a unit with no t-th root NotResidue.
+    serves every key: modnum._any_root per prime factor, joined in Garner's
+    form, with no per-key CRT state.  A root set of another key is
+    ValueError, a non-unit cipher NotCoprime, a unit with no t-th root
+    NotResidue.
     """
     if pkt.t != params.t or pkt.n != params.n:
         raise MalformedPacket("packet does not match the session parameters")
+    if rs.t != params.t or rs.modulus != params.n:
+        raise ValueError("root set does not match the key")
     if math.gcd(pkt.c, params.n) != 1:
         raise NotCoprime(f"gcd({pkt.c}, {params.n}) > 1: not the cipher of a unit")
     cands = candidate_set(_root_per_prime(pkt.c, params, modnum._any_root), rs)

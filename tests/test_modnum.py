@@ -80,10 +80,14 @@ class TestCrt:
         with pytest.raises(ValueError):
             CrtBasis(11, 17, 3, 14, 187)  # 17*3 mod 11 != 1
 
-    def test_basis_cached_but_errors_not(self):
+    def test_basis_not_cached_and_errors_repeat(self):
         from powmap import InvalidPrime
 
-        assert CrtBasis.for_primes(31, 13) is CrtBasis.for_primes(31, 13)
+        # The per-key root plan is the kernel's only cache; decode needs no basis.
+        assert isinstance(vars(CrtBasis)["for_primes"], classmethod)
+        assert not hasattr(vars(CrtBasis)["for_primes"].__func__, "cache_info")
+        assert hasattr(modnum._root_plan, "cache_info")
+        assert CrtBasis.for_primes(31, 13) == CrtBasis.for_primes(31, 13)
         for _ in range(2):
             with pytest.raises(InvalidPrime):
                 CrtBasis.for_primes(11, 15)
@@ -174,6 +178,13 @@ class TestElementOrder:
     def test_exponent_below_one_is_refused(self):
         with pytest.raises(ValueError):
             element_order(2, 7, 0)
+
+    def test_exponent_beyond_bound_is_refused(self):
+        # Refused before t is factored by trial division, which would take
+        # milliseconds for 2*(2**31 - 1) and hours for a prime t near 2**62.
+        for t in (13, 2 * 2147483647):
+            with pytest.raises(ValueError, match=r"t must be in 1\.\.12"):
+                element_order(1, 4294967291, t)
 
 
 def _first_element_of_order(d, p):

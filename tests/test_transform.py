@@ -11,10 +11,13 @@ from powmap import (
     NoSolution,
     NotCoprime,
     NotCoprimeWarning,
+    NotInvertible,
     NotResidue,
     NotSupported,
     Packet,
+    Params,
     RankOutOfRange,
+    RootSet,
     candidate_set,
     decode,
     eligible_generators,
@@ -319,6 +322,26 @@ class TestEncodeDecode:
         params, rs = make_params(5, 61), root_set(5, 61)
         with pytest.raises(MalformedPacket):
             decode(Packet(6, 61, 11, 1), params, rs)
+
+    def test_root_set_of_another_key_refused(self):
+        # Unchecked, each pair answers wrongly: decode 11 and 29 for 28, encode rank 13 of 5.
+        params = make_params(5, 61)
+        pkt = encode(28, params, root_set(5, 61))
+        for other in (root_set(5, 11, 31), root_set(3, 61)):
+            with pytest.raises(ValueError, match="root set does not match the key"):
+                decode(pkt, params, other)
+        with pytest.raises(ValueError, match="root set does not match the key"):
+            encode(28, params, root_set(5, 11, 31))
+
+    def test_hand_built_equal_primes_named_error(self):
+        # make_params refuses p == q; a hand-built Params reaches the join and is
+        # refused there by name, not with a bare ValueError from pow.
+        params = Params(5, 11, 11, 121, 100, DivClass.T_SQUARED)  # phi = (p-1)*(q-1)
+        rs = RootSet(121, 5, (1,), {1: 1})
+        c = pow(2, 5, 121)
+        for call in (lambda: extract_root(c, params), lambda: decode(Packet(5, 121, c, 1), params, rs)):
+            with pytest.raises(NotInvertible):
+                call()
 
     def test_t_to_one_on_units(self):
         # For the t-exactly class mod a prime, each cipher has exactly t preimages.
