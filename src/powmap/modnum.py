@@ -58,7 +58,7 @@ class CrtBasis(namedtuple("CrtBasis", "p q q_inv_mod_p p_inv_mod_q n")):
 
     @classmethod
     def for_primes(cls, p: int, q: int) -> "CrtBasis":
-        """Checks the pair and builds its basis: key set-up, never decode (Garner's join)."""
+        """Checks the pair and builds its basis; src/ builds one only in lift_roots."""
         if p == q:
             raise InvalidPrime("p and q must differ")
         if not (is_prime(p) and is_prime(q)):
@@ -67,9 +67,9 @@ class CrtBasis(namedtuple("CrtBasis", "p q q_inv_mod_p p_inv_mod_q n")):
 
 
 def crt_pair(r_p: int, r_q: int, basis: CrtBasis) -> int:
-    """The unique x mod p*q with x ≡ r_p (mod p) and x ≡ r_q (mod q)."""
-    return (r_p % basis.p * basis.q * basis.q_inv_mod_p
-            + r_q % basis.q * basis.p * basis.p_inv_mod_q) % basis.n
+    """The unique x mod p*q with x ≡ r_p (mod p) and x ≡ r_q (mod q), in Garner's form."""
+    b = r_q % basis.q  # reduced first, so the sum lands in [0, p*q)
+    return b + basis.q * ((r_p - b) * basis.q_inv_mod_p % basis.p)
 
 
 def sqrtmod(a: int, p: int) -> tuple[int, ...]:
@@ -96,8 +96,10 @@ def element_order(a: int, modulus: int, t: int) -> int:
     while the power stays 1.  Raises NotDivisor when a**t ≢ 1, i.e. a is
     not a t-th root of unity.
     """
-    if not 1 <= t <= T_BOUND:  # before t is factored by trial division
+    if not 1 <= t <= T_BOUND:  # before t is factored over the small primes
         raise ValueError(f"t must be in 1..{T_BOUND}, got {t}")
+    if modulus < 2:
+        raise ValueError(f"modulus must be >= 2, got {modulus}")
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise NotCoprime(f"gcd({a}, {modulus}) > 1")
@@ -108,16 +110,6 @@ def element_order(a: int, modulus: int, t: int) -> int:
         if pow(a, d // ell, modulus) == 1:
             d //= ell
     return d
-
-
-def _least_factor(n: int) -> int:
-    """The least prime factor of n >= 2, by trial division up to sqrt(n)."""
-    if n % 2 == 0:
-        return 2
-    for f in range(3, math.isqrt(n) + 1, 2):
-        if n % f == 0:
-            return f
-    return n
 
 
 def _primes_below(bound: int) -> frozenset[int]:
@@ -200,7 +192,7 @@ def factor_semiprime(n: int) -> tuple[int, int | None]:
         return (n, None)
     small, root = math.gcd(n, _SMALL_PRODUCT), math.isqrt(n)
     if small > 1:
-        f = _least_factor(small)  # stops at n's least prime factor, below 1009
+        f = _prime_factors(small)[0]
     elif root * root == n:
         f = root
     else:
@@ -211,12 +203,17 @@ def factor_semiprime(n: int) -> tuple[int, int | None]:
     raise NotSupported(f"{n} has more than two prime factors")
 
 
-def _prime_factors(t: int) -> list[int]:
-    """Prime factors of t, ascending, with multiplicity."""
-    if t < 2:
-        return []
-    f = _least_factor(t)
-    return [f, *_prime_factors(t // f)]
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n, ascending, with multiplicity; [] for n < 2.  Divides by the sieve's
+    primes up to sqrt(n), so all prime factors of n but the largest must lie below 1009."""
+    factors = []
+    for f in filter(_SMALL_PRIMES.__contains__, range(2, _SCREEN)):
+        if f * f > n:  # also stops n <= 0, which every f divides
+            break
+        while n % f == 0:
+            n //= f
+            factors.append(f)
+    return factors + [n] if n > 1 else factors
 
 
 def _unity_generator(d: int, p: int) -> int:
@@ -237,6 +234,8 @@ def _unity_generator(d: int, p: int) -> int:
 
 def _unity_orders(t: int, p: int) -> dict[int, int]:
     """{g**k: d/gcd(k, d)} for g of order d = gcd(t, p-1): the t-th roots of unity mod p."""
+    if not is_prime(p):  # before any generator search; NotSupported for p >= 2**32
+        raise InvalidPrime(f"{p} is not prime")
     d = math.gcd(t, p - 1)
     g, x, orders = _unity_generator(d, p), 1, {}
     for k in range(d):
@@ -245,7 +244,7 @@ def _unity_orders(t: int, p: int) -> dict[int, int]:
     return orders
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=4096)
 def _root_plan(t: int, p: int) -> tuple:
     """What a t-th root mod the prime p needs that does not depend on the cipher.
 
@@ -260,9 +259,10 @@ def _root_plan(t: int, p: int) -> tuple:
     - unity holds the gcd(t, p-1) t-th roots of unity;
     - exps is t/l0, t/(l0*l1), ..., 1 for the prime factors l0 <= l1 <= ...
       of t.
+    Bounded so a receiver under many keys stays small: a plan takes about 520 B,
+    4096 plans about 2 MB, and one wide-keys round's ~1,075 (t, p) pairs fit.
     """
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
+    unity = tuple(_unity_orders(t, p))  # checks p before any Sylow generator search
     ells = _prime_factors(t)
     a_part, sylow = 1, []
     for ell in sorted(set(ells)):
@@ -278,7 +278,6 @@ def _root_plan(t: int, p: int) -> tuple:
             w = pow(m * t // ell**k, -1, ell ** (s - k))
             sylow.append((ell, s, m, pow(g, -1, p), table, pow(g, w, p), ell**k))
     b_exp = a_part * pow(a_part * t, -1, (p - 1) // a_part)
-    unity = tuple(_unity_orders(t, p))
     exps = tuple(t // math.prod(ells[:i + 1]) for i in range(len(ells)))
     return b_exp, tuple(sylow), unity, exps
 

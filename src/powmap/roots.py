@@ -50,10 +50,10 @@ def quintic_roots_prime(p: int) -> RootSet:
     set.  Both radicands are squares: F_p holds a primitive 5th root ζ with
     (4ζ + 1 - s)**2 ≡ -2(5+s) and (4ζ² + 1 + s)**2 ≡ -2(5-s).
     """
-    if p % 5 != 1 or not modnum.is_prime(p):
+    if p % 5 != 1:
         raise ValueError(f"p must be a prime ≡ 1 (mod 5), got {p}")
+    s = modnum.sqrtmod(5, p)[0]  # InvalidPrime for a composite p, from the kernel
     inv4 = modnum.invmod(4, p)
-    s = modnum.sqrtmod(5, p)[0]
     vals = {1, *((-1 + s + u) * inv4 % p for u in modnum.sqrtmod(-2 * (5 + s), p)),
             *((-1 - s + v) * inv4 % p for v in modnum.sqrtmod(-2 * (5 - s), p))}
     return _with_orders(p, 5, vals)
@@ -66,10 +66,10 @@ def sextic_roots_prime(p: int) -> RootSet:
     and ±sqrt((-1-r)/2) mod p; equals the brute-force set.  (-1±r)/2 are the
     primitive cube roots of unity ω and ω², whose square roots are ±ω², ±ω.
     """
-    if p % 6 != 1 or not modnum.is_prime(p):
+    if p % 6 != 1:
         raise ValueError(f"p must be a prime ≡ 1 (mod 6), got {p}")
+    r = modnum.sqrtmod(p - 3, p)[0]  # InvalidPrime for a composite p, from the kernel
     inv2 = modnum.invmod(2, p)
-    r = modnum.sqrtmod(p - 3, p)[0]
     vals = {1, p - 1, *modnum.sqrtmod((-1 + r) * inv2 % p, p),
             *modnum.sqrtmod((-1 - r) * inv2 % p, p)}
     return _with_orders(p, 6, vals)
@@ -83,16 +83,16 @@ def lift_roots(rs_p: RootSet, rs_q: RootSet) -> RootSet:
     """
     if rs_p.t != rs_q.t:
         raise ValueError(f"exponents differ: {rs_p.t} vs {rs_q.t}")
-    basis = modnum.CrtBasis.for_primes(rs_p.modulus, rs_q.modulus)
-    return _crt_join(rs_p.t, basis, rs_p.orders, rs_q.orders)
+    basis = modnum.CrtBasis.for_primes(rs_p.modulus, rs_q.modulus)  # checks the pair
+    return _crt_join(rs_p.t, basis.p, basis.q, rs_p.orders, rs_q.orders)
 
 
-def _crt_join(t: int, basis: modnum.CrtBasis, orders_p: dict, orders_q: dict) -> RootSet:
-    """The root set mod p*q from {root: order} mod p and mod q, one CRT term per side."""
-    p, q, q_inv_mod_p, p_inv_mod_q, n = basis
-    us = [(a * q * q_inv_mod_p % n, d) for a, d in orders_p.items()]
-    vs = [(b * p * p_inv_mod_q % n, e) for b, e in orders_q.items()]
-    return _from_orders(n, t, {(u + v) % n: math.lcm(d, e) for u, d in us for v, e in vs})
+def _crt_join(t: int, p: int, q: int, orders_p: dict, orders_q: dict) -> RootSet:
+    """The root set mod p*q from {root: order} mod p and q, joined as in modnum.crt_pair."""
+    q_inv = modnum.invmod(q, p)
+    vs = [(b % q, e) for b, e in orders_q.items()]
+    return _from_orders(p * q, t, {b + q * ((a - b) * q_inv % p): math.lcm(d, e)
+                                   for a, d in orders_p.items() for b, e in vs})
 
 
 def eligible_generators(rs: RootSet) -> list[int]:
@@ -106,8 +106,7 @@ def root_set(t: int, p: int, q: int | None = None) -> RootSet:
     if not 1 <= t <= modnum.T_BOUND:
         raise ValueError(f"t must be in 1..{modnum.T_BOUND}, got {t}")
     if q is None:
-        if not modnum.is_prime(p):
-            raise InvalidPrime(f"{p} is not prime")
-        return _from_orders(p, t, modnum._unity_orders(t, p))
-    basis = modnum.CrtBasis.for_primes(p, q)  # checks the pair before either side is built
-    return _crt_join(t, basis, modnum._unity_orders(t, p), modnum._unity_orders(t, q))
+        return _from_orders(p, t, modnum._unity_orders(t, p))  # which checks p
+    if p == q:
+        raise InvalidPrime("p and q must differ")
+    return _crt_join(t, p, q, modnum._unity_orders(t, p), modnum._unity_orders(t, q))

@@ -70,6 +70,16 @@ class TestCrt:
         for x in range(187):
             assert crt_pair(x % 11, x % 17, b) == x
 
+    def test_unreduced_and_negative_residues(self):
+        # Garner's form must reduce the q-side residue before the difference: without
+        # that, crt_pair(4, 18, b) came out 86, not 103.
+        b = CrtBasis.for_primes(11, 17)
+        assert crt_pair(4, 18, b) == 103
+        for x in range(187):
+            for k, j in ((1, 1), (3, 2), (-2, -5)):
+                assert crt_pair(x % 11 + 11 * k, x % 17 - 17 * j, b) == x
+                assert crt_pair(x % 11 - 11 * k, x % 17 + 17 * j, b) == x
+
     def test_basis_validation(self):
         from powmap import InvalidPrime
 
@@ -180,11 +190,16 @@ class TestElementOrder:
             element_order(2, 7, 0)
 
     def test_exponent_beyond_bound_is_refused(self):
-        # Refused before t is factored by trial division, which would take
-        # milliseconds for 2*(2**31 - 1) and hours for a prime t near 2**62.
+        # Refused before t is factored, which divides only by the primes below 1009.
         for t in (13, 2 * 2147483647):
             with pytest.raises(ValueError, match=r"t must be in 1\.\.12"):
                 element_order(1, 4294967291, t)
+
+    def test_modulus_below_two_is_refused(self):
+        # As invmod does; 0 was a bare ZeroDivisionError and -7 a NotDivisor.
+        for modulus in (1, 0, -7):
+            with pytest.raises(ValueError, match="modulus must be >= 2"):
+                element_order(2, modulus, 2)
 
 
 def _first_element_of_order(d, p):
@@ -316,18 +331,29 @@ class TestPrimalityOracles:
                 assert factor_semiprime(n) == (*factors, None)[:2], n
 
     def test_no_trial_division_past_the_screen(self, monkeypatch):
-        # Near 2**32 the checks run one gcd, Miller-Rabin and Pollard-Brent; trial division
-        # of any n >= 1009**2 would be O(sqrt n) again.
-        least_factor = modnum._least_factor
+        # Near 2**32 the checks run one gcd, Miller-Rabin and Pollard-Brent; dividing any
+        # n >= 1009**2 by the small primes would be trial division again.
+        prime_factors, seen = modnum._prime_factors, []
 
         def guarded(n):
             assert n < 1009**2, f"trial division of {n}"
-            return least_factor(n)
+            seen.append(n)
+            return prime_factors(n)
 
-        monkeypatch.setattr(modnum, "_least_factor", guarded)
+        monkeypatch.setattr(modnum, "_prime_factors", guarded)
         assert is_prime(4294967291)
         assert factor_semiprime(65497 * 65479) == (65479, 65497)
         assert factor_semiprime(65521**2) == (65521, 65521)
+        assert factor_semiprime(997 * 4307761) == (997, 4307761)  # the screen's gcd is 997
+        assert root_set(12, 4294967291).roots[:2] == (1, 4294967290)
+        assert 997 in seen and 2 in seen
+
+    def test_prime_factors_against_the_definition(self):
+        primes = set(primes_below(5000))
+        for n in range(-3, 5000):
+            factors = modnum._prime_factors(n)
+            assert factors == sorted(factors) and set(factors) <= primes, n
+            assert math.prod(factors) == max(n, 1), n
 
 
 class TestNthRootModPrime:

@@ -4,6 +4,8 @@ import pytest
 
 from powmap import (
     InvalidPrime,
+    NotSupported,
+    RootSet,
     eligible_generators,
     lift_roots,
     quintic_roots_prime,
@@ -11,6 +13,7 @@ from powmap import (
     roots_bruteforce,
     sextic_roots_prime,
 )
+from powmap import modnum
 from powmap.modnum import element_order
 
 from worked_examples import (
@@ -90,6 +93,17 @@ class TestRadicalConstructions:
         with pytest.raises(ValueError):
             sextic_roots_prime(11)
 
+    def test_reject_composite_modulus(self):
+        # The kernel's check refuses an odd composite; an even p fails sqrtmod's own guard.
+        for call in (lambda: quintic_roots_prime(21), lambda: sextic_roots_prime(25),
+                     lambda: sextic_roots_prime(91)):
+            with pytest.raises(InvalidPrime):
+                call()
+        with pytest.raises(NotSupported):
+            quintic_roots_prime(2**32 + 5)
+        with pytest.raises(ValueError):
+            quintic_roots_prime(16)
+
 
 class TestLifting:
     def test_worked_values(self):
@@ -108,6 +122,18 @@ class TestLifting:
     def test_lift_equals_bruteforce_oracle(self, t, p, q):
         lifted = lift_roots(roots_bruteforce(t, p), roots_bruteforce(t, q))
         assert lifted.roots == roots_bruteforce(t, p * q).roots
+
+    def test_unreduced_and_negative_residues(self):
+        # A hand-built root set may hold roots outside [0, modulus); the lift reduces them.
+        def shifted(rs, k):
+            orders = {r + k * rs.modulus: d for r, d in rs.orders.items()}
+            return RootSet(rs.modulus, rs.t, tuple(orders), orders)
+
+        for t, p, q in ((5, 11, 31), (6, 31, 13), (4, 13, 17)):
+            expected = roots_bruteforce(t, p * q)
+            for k, j in ((1, 0), (0, 1), (2, -1), (-1, 3), (-2, -2)):
+                lifted = lift_roots(shifted(root_set(t, p), k), shifted(root_set(t, q), j))
+                assert lifted == expected, (t, p, q, k, j)
 
     def test_mismatched_degrees_rejected(self):
         with pytest.raises(ValueError):
@@ -186,10 +212,35 @@ class TestClosedForm:
         assert len(rs.roots) == 5 == math.gcd(5, p - 1)
         assert all(pow(r, 5, p) == 1 for r in rs.roots)
 
+    def test_builds_no_crt_basis(self, monkeypatch):
+        def refuse(cls, p, q):
+            raise AssertionError(f"root_set built a CRT basis for ({p}, {q})")
+
+        monkeypatch.setattr(modnum.CrtBasis, "for_primes", classmethod(refuse))
+        assert list(root_set(5, 31, 11).roots) == QUINTIC_ROOTS_341
+        assert list(root_set(5, 11, 31).roots) == QUINTIC_ROOTS_341
+        assert root_set(6, 31, 13) == roots_bruteforce(6, 403)
+
+    def test_prime_checked_before_any_generator_search(self, monkeypatch):
+        # One primality check per per-prime build, in modnum._unity_orders.
+        def refuse(d, p):
+            raise AssertionError(f"generator search mod {p}")
+
+        monkeypatch.setattr(modnum, "_unity_generator", refuse)
+        for call in (lambda: root_set(4, 21), lambda: root_set(4, 21, 13),
+                     lambda: modnum._root_plan(4, 21)):
+            with pytest.raises(InvalidPrime, match="21 is not prime"):
+                call()
+        for call in (lambda: root_set(5, 2**32 + 15), lambda: root_set(5, 2**32 + 15, 11),
+                     lambda: modnum._root_plan(5, 2**32 + 15)):
+            with pytest.raises(NotSupported):
+                call()
+
     def test_composite_modulus_is_refused(self):
         # 341 = 11*31 has 25 fifth roots of unity; powers of one element would give only 5.
-        # A composite factor of a semiprime is refused before either per-prime set is built.
-        for args in ((6, 15), (4, 21), (2, 9), (3, 91), (2, 341), (5, 341), (5, 21, 11), (5, 11, 21)):
+        # A composite factor of a semiprime is refused before its own per-prime set is built.
+        for args in ((6, 15), (4, 21), (2, 9), (3, 91), (2, 341), (5, 341), (5, 21, 11), (5, 11, 21),
+                     (5, 11, 11), (5, 15, 31), (5, 31, 15)):
             with pytest.raises(InvalidPrime):
                 root_set(*args)
 

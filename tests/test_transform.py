@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -29,6 +30,7 @@ from powmap import (
     mapping_table,
     root_set,
 )
+from powmap import modnum
 from powmap.modnum import _any_root, is_prime
 
 from worked_examples import (
@@ -37,6 +39,7 @@ from worked_examples import (
     QUINTIC_ROOTS_61,
     TABLE_43_7,
     TABLE_61_9,
+    primes_below,
 )
 
 
@@ -332,6 +335,35 @@ class TestEncodeDecode:
                 decode(pkt, params, other)
         with pytest.raises(ValueError, match="root set does not match the key"):
             encode(28, params, root_set(5, 11, 31))
+
+    def test_root_plan_cache_is_bounded(self):
+        # A receiver decoding under more distinct keys than the plan cache holds: the
+        # cache stops at its bound, and once full, 1,000 more keys leave memory near
+        # flat (about 35 B a key from plans of other sizes; an unbounded cache grew
+        # about 520 B a key).  gc.collect() empties the free lists before each reading.
+        maxsize = modnum._root_plan.cache_info().maxsize
+        assert maxsize is not None
+        keys = [(t, p) for p in primes_below(10_000)[168:] for t in range(2, 13)][:maxsize + 1_200]
+
+        def round_trip(t, p):
+            params, rs = make_params(t, p), root_set(t, p)
+            assert decode(encode(p // 2, params, rs), params, rs) == p // 2
+
+        modnum._root_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            for t, p in keys[:-1_000]:
+                round_trip(t, p)
+            gc.collect()
+            before, _ = tracemalloc.get_traced_memory()
+            for t, p in keys[-1_000:]:
+                round_trip(t, p)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert modnum._root_plan.cache_info().currsize == maxsize
+        assert after - before < 100_000, after - before
 
     def test_hand_built_equal_primes_named_error(self):
         # make_params refuses p == q; a hand-built Params reaches the join and is
