@@ -216,32 +216,28 @@ def _prime_factors(n: int) -> list[int]:
     return factors + [n] if n > 1 else factors
 
 
-def _unity_generator(d: int, p: int) -> int:
-    """The first g = z**((p-1)/d), z = 2, 3, ..., of exact order d > 1 mod the prime p:
-    g**(d/ell) ≢ 1 for each prime ell | d.  1 for d = 1 (z = 1 gives g = 1, which
-    has order d only then).  NotDivisor when d does not divide p-1."""
-    e, rem = divmod(p - 1, d)
-    if rem:
-        raise NotDivisor(f"{d} does not divide {p - 1}")
-    if d == 1:
-        return 1
-    cofactors = [d // ell for ell in set(_prime_factors(d))]
-    for z in range(2, p):
-        g = pow(z, e, p)
-        if 1 not in [pow(g, c, p) for c in cofactors]:
-            return g
+def _unity(t: int, p: int) -> tuple[int, dict[int, int]]:
+    """(z, {g**k: d/gcd(k, d)}): the t-th roots of unity mod the prime p with their orders.
 
-
-def _unity_orders(t: int, p: int) -> dict[int, int]:
-    """{g**k: d/gcd(k, d)} for g of order d = gcd(t, p-1): the t-th roots of unity mod p."""
-    if not is_prime(p):  # before any generator search; NotSupported for p >= 2**32
+    d = gcd(t, p-1), and z is the first of 2, 3, ... that is an ell-th power for no
+    prime ell | d, tested on g = z**((p-1)/d) by g**(d/ell) ≢ 1; then g has order d,
+    and z**((p-1)/ell**s) generates the ell-Sylow subgroup.  z = g = 1 when d = 1.
+    """
+    if not is_prime(p):  # before any search; NotSupported for p >= 2**32
         raise InvalidPrime(f"{p} is not prime")
     d = math.gcd(t, p - 1)
-    g, x, orders = _unity_generator(d, p), 1, {}
+    z = g = 1
+    if d > 1:
+        cofactors = [d // ell for ell in set(_prime_factors(d))]
+        for z in range(2, p):
+            g = pow(z, (p - 1) // d, p)
+            if 1 not in [pow(g, c, p) for c in cofactors]:
+                break
+    x, orders = 1, {}
     for k in range(d):
         orders[x] = d // math.gcd(k, d)
         x = x * g % p
-    return orders
+    return z, orders
 
 
 @functools.lru_cache(maxsize=4096)
@@ -252,17 +248,17 @@ def _root_plan(t: int, p: int) -> tuple:
     (b_exp, sylow, unity, exps):
     - c**b_exp is a t-th root of the part of c whose order divides B;
     - sylow has one entry (ell, s, m, g_inv, table, gw, ell**k) per prime
-      ell | t with ell**s || p-1 and ell**k || t, s > k: g generates the
-      ell-Sylow subgroup, m = (p-1)/ell**s, table = {gamma**j: j} for
-      gamma = g**(ell**(s-1)), and gw = g**w with w the inverse of
-      m*t/ell**k mod ell**(s-k);
+      ell | t with ell**s || p-1 and ell**k || t, s > k: m = (p-1)/ell**s,
+      g = z**m for _unity's z generates the ell-Sylow subgroup, table =
+      {gamma**j: j} for gamma = g**(ell**(s-1)), and gw = g**w with w the
+      inverse of m*t/ell**k mod ell**(s-k);
     - unity holds the gcd(t, p-1) t-th roots of unity;
     - exps is t/l0, t/(l0*l1), ..., 1 for the prime factors l0 <= l1 <= ...
       of t.
     Bounded so a receiver under many keys stays small: a plan takes about 520 B,
     4096 plans about 2 MB, and one wide-keys round's ~1,075 (t, p) pairs fit.
     """
-    unity = tuple(_unity_orders(t, p))  # checks p before any Sylow generator search
+    z, unity = _unity(t, p)  # checks p first; the one search of the plan
     ells = _prime_factors(t)
     a_part, sylow = 1, []
     for ell in sorted(set(ells)):
@@ -272,14 +268,14 @@ def _root_plan(t: int, p: int) -> tuple:
             s += 1
         a_part *= ell**s
         if s > k:
-            g = _unity_generator(ell**s, p)
+            g = pow(z, m, p)  # ell | gcd(t, p-1) and z is no ell-th power: order ell**s
             gamma = pow(g, ell ** (s - 1), p)
             table = {pow(gamma, j, p): j for j in range(ell)}
             w = pow(m * t // ell**k, -1, ell ** (s - k))
             sylow.append((ell, s, m, pow(g, -1, p), table, pow(g, w, p), ell**k))
     b_exp = a_part * pow(a_part * t, -1, (p - 1) // a_part)
     exps = tuple(t // math.prod(ells[:i + 1]) for i in range(len(ells)))
-    return b_exp, tuple(sylow), unity, exps
+    return b_exp, tuple(sylow), tuple(unity), exps
 
 
 def _any_root(c: int, t: int, p: int) -> int | None:

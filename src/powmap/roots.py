@@ -106,7 +106,7 @@ def root_set(t: int, p: int, q: int | None = None) -> RootSet:
     if not 1 <= t <= modnum.T_BOUND:
         raise ValueError(f"t must be in 1..{modnum.T_BOUND}, got {t}")
     if q is None:
-        return _from_orders(p, t, modnum._unity_orders(t, p))  # which checks p
+        return _from_orders(p, t, modnum._unity(t, p)[1])  # which checks p
     if p == q:
         raise InvalidPrime("p and q must differ")
-    return _crt_join(t, p, q, modnum._unity_orders(t, p), modnum._unity_orders(t, q))
+    return _crt_join(t, p, q, modnum._unity(t, p)[1], modnum._unity(t, q)[1])

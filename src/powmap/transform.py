@@ -198,7 +198,7 @@ def mapping_table(params: Params, alpha: int) -> Iterator[tuple[tuple[int, ...],
 
     Each row is one coset of <alpha>, led by the smallest unit not yet
     placed, so each unit appears once and the rows show the t-to-1 collapse.
-    The key is checked on the call; the rows then stream over p flag bytes.
+    The key is checked on the call; the rows then stream, with no per-residue state.
     """
     if params.q is not None or params.div_class is not DivClass.T_EXACTLY:
         raise ValueError("mapping table needs a prime modulus with phi divisible by t only")
@@ -209,11 +209,10 @@ def mapping_table(params: Params, alpha: int) -> Iterator[tuple[tuple[int, ...],
 
 
 def _table_rows(p: int, t: int, alpha: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    powers = [pow(alpha, j, p) for j in range(t)]
-    used = bytearray(p)
+    powers = [pow(alpha, j, p) for j in range(1, t)]
     for m in range(1, p):
-        if not used[m]:
-            row = tuple(m * a % p for a in powers)
-            for v in row:
-                used[v] = 1
-            yield row, pow(m, t, p)
+        for a in powers:
+            if m * a % p < m:  # m does not lead its coset
+                break
+        else:
+            yield (m, *[m * a % p for a in powers]), pow(m, t, p)

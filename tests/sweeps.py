@@ -16,7 +16,8 @@ current output, and CI compares the two.  The file name does not match
   primes below 700 and large primes, the deep 2-Sylow ones among them.
 - ``roots``: ``nth_root_mod_prime`` and ``sqrtmod`` over every residue of
   each odd prime below 700, ``nth_root_mod_prime`` on seeded ciphers at
-  large primes, and ``extract_root`` on seeded ciphers under eight keys.
+  large primes and at primes with deep 2-, 3-, 5-, 7- and 11-Sylow
+  subgroups, and ``extract_root`` on seeded ciphers under eight keys.
 - ``primes``: ``is_prime`` and ``factor_semiprime`` on every ``n < 40,000``,
   on keys near ``2**32``, on squares and products around the small-prime
   bound 1009, and on strong pseudoprimes to the small bases.  This sweep
@@ -34,6 +35,8 @@ from powmap.modnum import _root_plan, factor_semiprime, is_prime, nth_root_mod_p
 SMALL_PRIMES = [p for p in range(3, 700) if is_prime(p)]
 LARGE_PRIMES = (65537, 65521, 999983, 2**31 - 1, 4294967291, 1000081, 4294967279)
 DEEP_PRIMES = (3221225473, 2013265921, 4293918721, 4294964521, 4294955009, 4294948699)
+# Deep odd Sylow subgroups: p-1 holds 3**18, 3**17, 5**13, 7**10 and 11**8 in turn.
+ODD_DEEP_PRIMES = (3874204891, 258280327, 2441406251, 1129900997, 1286153287)
 SEMI_FACTORS = (2, 3, 5, 7, 11, 13, 17, 19, 31, 37, 43, 61, 73, 97, 181, 241, 65537)
 EXTRACT_KEYS = ((61,), (11, 17), (11, 31), (43,), (13, 31), (65497, 65479), (193, 307), (97, 967))
 # 2047, 1373653, 25326001 and 3215031751 are strong pseudoprimes to base 2, the last also to 3, 5
@@ -87,7 +90,7 @@ def roots_digest() -> str:
         for c in range(p):
             d.add(sqrtmod, c, p)
     rng = random.Random(5)
-    for p in LARGE_PRIMES:
+    for p in (*LARGE_PRIMES, *DEEP_PRIMES, *ODD_DEEP_PRIMES):
         for t in range(1, 13):
             for _ in range(300):
                 c = pow(rng.randrange(1, p), t, p) if rng.random() < 0.8 else rng.randrange(p)

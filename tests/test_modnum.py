@@ -15,7 +15,7 @@ from powmap import (
 from powmap import modnum
 from powmap.modnum import (
     CrtBasis,
-    _unity_generator,
+    _unity,
     crt_pair,
     element_order,
     factor_semiprime,
@@ -214,23 +214,59 @@ def _first_element_of_order(d, p):
             return g
 
 
+def _scan_order(x, p):
+    """The least k >= 1 with x**k ≡ 1 (mod p), by repeated multiplication."""
+    y, k = x, 1
+    while y != 1:
+        y, k = y * x % p, k + 1
+    return k
+
+
+def _sylow_generators(t, p):
+    """{ell: g} for the Sylow generators g of the plan for (t, p)."""
+    return {entry[0]: pow(entry[3], -1, p) for entry in modnum._root_plan(t, p)[1]}
+
+
 class TestUnityGenerator:
     def test_matches_power_scan_oracle(self):
         for p in primes_below(2000):
-            for d in range(1, p):
-                if (p - 1) % d == 0 and math.factorial(12) % d == 0:
-                    assert _unity_generator(d, p) == _first_element_of_order(d, p), (d, p)
+            for t in range(1, 13):
+                d = math.gcd(t, p - 1)
+                z, orders = _unity(t, p)
+                assert pow(z, (p - 1) // d, p) == _first_element_of_order(d, p), (t, p)
+                assert len(orders) == d
+                assert orders == {x: _scan_order(x, p) for x in orders}, (t, p)
+                assert all(pow(x, t, p) == 1 for x in orders)
+
+    def test_plan_sylow_generators_have_exact_order(self):
+        for p in primes_below(2000):
+            for t in range(1, 13):
+                for ell, s, _, g_inv, *_ in modnum._root_plan(t, p)[1]:
+                    assert _scan_order(pow(g_inv, -1, p), p) == ell**s, (t, p, ell)
 
     def test_sylow_orders_of_deep_primes(self):
-        # The 2-Sylow generators that _root_plan asks for at the deepest primes of the contract.
-        assert _unity_generator(2**16, 65537) == 3
-        assert _unity_generator(2**27, 2013265921) == 1227303670
-        assert _unity_generator(2**30, 3221225473) == 125
+        # d = 2 gives the same z as a search for the 2-Sylow subgroup alone.
+        assert _sylow_generators(2, 65537) == {2: 3}
+        assert _sylow_generators(2, 2013265921) == {2: 1227303670}
+        assert _sylow_generators(2, 3221225473) == {2: 125}
+        # d = 6 asks z to be a cube too, so the 2-Sylow generator is another one.
+        assert _sylow_generators(6, 2013265921) == {2: 1299886585}
 
-    def test_order_not_dividing_p_minus_one(self):
-        # No element mod 13 has order 5; 4 = 2**(12 // 5) passes the order test alone.
-        with pytest.raises(NotDivisor):
-            _unity_generator(5, 13)
+    def test_plan_runs_one_search(self, monkeypatch):
+        calls, unity = [], modnum._unity
+
+        def counted(t, p):
+            calls.append((t, p))
+            return unity(t, p)
+
+        monkeypatch.setattr(modnum, "_unity", counted)
+        modnum._root_plan.cache_clear()
+        try:
+            # 4294964520 = 2**3 * 3**3 * 5 * 7 * 11 * 51647: deep 2- and 3-Sylow subgroups.
+            assert len(modnum._root_plan(12, 4294964521)[1]) == 2
+        finally:
+            modnum._root_plan.cache_clear()
+        assert calls == [(12, 4294964521)]
 
 
 class TestFactorSemiprime:

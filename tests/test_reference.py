@@ -15,7 +15,10 @@ from powmap import NotResidue, Packet, decode, encode, make_params, root_set
 
 BOUND = 400  # every prime and semiprime key below it, for every t = 2..12 (about 5 s)
 CHECKED = 409288  # (key, message) pairs in that sweep
-FIXED_KEYS = ((4294967291,), (4294967279,), (65497, 65479), (3221225473,), (65537, 40961))
+# The last five primes have deep odd Sylow subgroups: p-1 holds 3**18, 3**17, 5**13, 7**10
+# and 11**8 in turn.
+FIXED_KEYS = ((4294967291,), (4294967279,), (65497, 65479), (3221225473,), (65537, 40961),
+              (3874204891,), (258280327,), (2441406251,), (1129900997,), (1286153287,))
 
 
 def _small_keys():

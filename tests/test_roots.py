@@ -222,11 +222,11 @@ class TestClosedForm:
         assert root_set(6, 31, 13) == roots_bruteforce(6, 403)
 
     def test_prime_checked_before_any_generator_search(self, monkeypatch):
-        # One primality check per per-prime build, in modnum._unity_orders.
-        def refuse(d, p):
-            raise AssertionError(f"generator search mod {p}")
+        # One primality check per per-prime build, in modnum._unity, before it factors d.
+        def refuse(n):
+            raise AssertionError(f"factored {n} before checking the prime")
 
-        monkeypatch.setattr(modnum, "_unity_generator", refuse)
+        monkeypatch.setattr(modnum, "_prime_factors", refuse)
         for call in (lambda: root_set(4, 21), lambda: root_set(4, 21, 13),
                      lambda: modnum._root_plan(4, 21)):
             with pytest.raises(InvalidPrime, match="21 is not prime"):

@@ -418,7 +418,7 @@ class TestMappingTable:
             mapping_table(make_params(5, 31, 11), 4)
 
     def test_first_rows_stream_without_the_whole_table(self):
-        # 200,016 rows at p = 1000081; the first ten need only the p flag bytes.
+        # 200,016 rows at p = 1000081; the first ten need only a few powers of alpha.
         params = make_params(5, 1000081)
         alpha = eligible_generators(root_set(5, 1000081))[0]
         tracemalloc.start()
@@ -429,6 +429,18 @@ class TestMappingTable:
             tracemalloc.stop()
         assert len(rows) == 10 and rows[0][0][0] == 1
         assert peak < 2 * 1024 * 1024
+
+    def test_first_rows_hold_no_per_residue_state(self):
+        # One flag byte per residue would take 4.3 GB at the largest prime below 2**32.
+        p = 4294967291
+        tracemalloc.start()
+        try:
+            rows = list(itertools.islice(mapping_table(make_params(2, p), p - 1), 10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows[:3] == [((1, p - 1), 1), ((2, p - 2), 4), ((3, p - 3), 9)]
+        assert peak < 1024 * 1024, peak
 
     @pytest.mark.parametrize("t", range(2, 13))
     def test_rows_are_the_cosets_of_alpha(self, t):
