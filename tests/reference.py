@@ -48,3 +48,32 @@ def rank(m: int, cands: set[int]) -> int:
 
 def pick(r: int, cands: set[int]) -> int:
     return sorted(cands)[r - 1]
+
+
+def primes_below(limit: int) -> list[int]:
+    """Every prime below limit, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for i in range(2, int(limit**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytearray(len(range(i * i, limit, i)))
+    return [i for i in range(limit) if sieve[i]]
+
+
+def prime_factors(n: int) -> list[int]:
+    """n's prime factors, ascending and with multiplicity, by trial division."""
+    factors, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.append(d)
+            n //= d
+        d += 1
+    return factors + [n] if n > 1 else factors
+
+
+def canonical_root(roots: set[int], t: int, p: int) -> int:
+    """Of t-th roots of one residue mod the prime p, the one powmap returns: with t's prime
+    factors l0 <= l1 <= ..., the x whose (x**(t/l0), x**(t/(l0*l1)), ..., x) mod p is least."""
+    ells = prime_factors(t)
+    exps = [t // math.prod(ells[:i + 1]) for i in range(len(ells))]
+    return min(roots, key=lambda x: [pow(x, e, p) for e in exps])

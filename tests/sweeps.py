@@ -7,7 +7,7 @@ exception class name of a call that raises, with ``;`` after each.  Two
 trees that print the same digests return the same values, in the same
 order, over the whole sweep.  ``tests/data/sweeps.txt`` holds the
 current output, and CI compares the two.  The file name does not match
-``test_*.py``, so pytest does not collect it.
+``test_*.py``, so pytest does not collect it.  Named key groups are from ``corners.py``.
 
 - ``root_set``: every ``t = 1..12`` over prime keys (primes below 400, large
   primes, composites) and ordered semiprime pairs; the ``repr`` shows
@@ -32,17 +32,12 @@ import random
 from powmap import extract_root, make_params, root_set
 from powmap.modnum import _root_plan, factor_semiprime, is_prime, nth_root_mod_prime, sqrtmod
 
-SMALL_PRIMES = [p for p in range(3, 700) if is_prime(p)]
-LARGE_PRIMES = (65537, 65521, 999983, 2**31 - 1, 4294967291, 1000081, 4294967279)
-DEEP_PRIMES = (3221225473, 2013265921, 4293918721, 4294964521, 4294955009, 4294948699)
-# Deep odd Sylow subgroups: p-1 holds 3**18, 3**17, 5**13, 7**10 and 11**8 in turn.
-ODD_DEEP_PRIMES = (3874204891, 258280327, 2441406251, 1129900997, 1286153287)
+from corners import DEEP_PRIMES, LARGE_PRIMES, ODD_DEEP_PRIMES, PRIME_CASES
+from reference import primes_below
+
+SMALL_PRIMES = primes_below(700)[1:]
 SEMI_FACTORS = (2, 3, 5, 7, 11, 13, 17, 19, 31, 37, 43, 61, 73, 97, 181, 241, 65537)
 EXTRACT_KEYS = ((61,), (11, 17), (11, 31), (43,), (13, 31), (65497, 65479), (193, 307), (97, 967))
-# 2047, 1373653, 25326001 and 3215031751 are strong pseudoprimes to base 2, the last also to 3, 5
-# and 7; 2284453, 27509653 and 87558127 pass two of the bases 2, 7 and 61 and have no factor below 1009.
-PRIME_CASES = (4294967291, 4294967279, 65497 * 65479, 65521**2, 1009**2, 1009 * 1013, 2**32 - 1,
-               2047, 1373653, 25326001, 3215031751, 2284453, 27509653, 87558127)
 
 
 class Digest:

@@ -28,6 +28,7 @@ from powmap import (
 )
 from powmap.cli import main
 
+from reference import primes_below
 from worked_examples import (
     CANDIDATES_51_MOD_341,
     CANDIDATES_59_MOD_403,
@@ -42,7 +43,6 @@ from worked_examples import (
     SEXTIC_ROOTS_43,
     TABLE_43_7,
     TABLE_61_9,
-    primes_below,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "table_t5_p61_alpha9.txt"

@@ -11,8 +11,9 @@ from powmap import (
     root_set,
     roots_bruteforce,
 )
-from powmap.modnum import element_order, is_prime
+from powmap.modnum import element_order
 
+from reference import primes_below
 from worked_examples import GROUP_SETS_341, GROUP_SETS_403, REPEATED_FOUR_TIMES_403, REPEATED_THRICE_403
 
 
@@ -57,7 +58,7 @@ class TestCyclicGroups:
             assert {v for g in gp.groups for v in g} == set(rs.roots)
 
 
-_PRIMES = [p for p in range(3, 400) if is_prime(p)]
+_PRIMES = primes_below(400)[1:]
 # Every prime below 400 as a prime key, and with each of the next five primes as
 # a semiprime key, up to n = 20,000.
 _KEYS = [(p, None) for p in _PRIMES] + [

@@ -25,7 +25,8 @@ from powmap.modnum import (
     sqrtmod,
 )
 
-from worked_examples import primes_below
+import corners
+import reference
 
 
 class TestXgcdInvmod:
@@ -229,7 +230,7 @@ def _sylow_generators(t, p):
 
 class TestUnityGenerator:
     def test_matches_power_scan_oracle(self):
-        for p in primes_below(2000):
+        for p in reference.primes_below(2000):
             for t in range(1, 13):
                 d = math.gcd(t, p - 1)
                 z, orders = _unity(t, p)
@@ -239,7 +240,7 @@ class TestUnityGenerator:
                 assert all(pow(x, t, p) == 1 for x in orders)
 
     def test_plan_sylow_generators_have_exact_order(self):
-        for p in primes_below(2000):
+        for p in reference.primes_below(2000):
             for t in range(1, 13):
                 for ell, s, _, g_inv, *_ in modnum._root_plan(t, p)[1]:
                     assert _scan_order(pow(g_inv, -1, p), p) == ell**s, (t, p, ell)
@@ -298,17 +299,8 @@ class TestFactorSemiprime:
             is_prime(2**32)
 
     def test_against_trial_division(self):
-        def prime_factors(n):
-            factors, d = [], 2
-            while d * d <= n:
-                while n % d == 0:
-                    factors.append(d)
-                    n //= d
-                d += 1
-            return factors + [n] if n > 1 else factors
-
         for n in range(2, 20_000):
-            factors = prime_factors(n)
+            factors = reference.prime_factors(n)
             if len(factors) > 2:
                 with pytest.raises(NotSupported):
                     factor_semiprime(n)
@@ -316,32 +308,24 @@ class TestFactorSemiprime:
                 assert factor_semiprime(n) == (*factors, None)[:2], n
 
     def test_is_prime_against_scan(self):
-        def slow(n):
-            return n >= 2 and all(n % d for d in range(2, n))
-
         for n in range(0, 5000):
-            assert is_prime(n) == slow(n)
+            assert is_prime(n) == (reference.prime_factors(n) == [n]), n
         assert is_prime(4294967291)  # the largest prime below 2**32
         assert not is_prime(65497 * 65479)
-
-
-# Strong pseudoprimes to base 2 (the last also to 3, 5 and 7), then composites with no factor
-# below 1009 that pass two of the bases 2, 7 and 61: each of the three bases rejects one of them.
-PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2284453, 27509653, 87558127)
 
 
 class TestPrimalityOracles:
     """is_prime and factor_semiprime against oracles that share none of their code."""
 
     def test_is_prime_against_sieve(self):
-        primes = set(primes_below(200_000))
+        primes = set(reference.primes_below(200_000))
         for n in range(-2, 200_000):
             assert is_prime(n) == (n in primes), n
 
     def test_is_prime_against_sympy(self):
         sympy = pytest.importorskip("sympy")
         rng = random.Random(17)
-        for n in [rng.randrange(2**32) for _ in range(3000)] + list(PSEUDOPRIMES):
+        for n in [rng.randrange(2**32) for _ in range(3000)] + list(corners.PSEUDOPRIMES):
             assert is_prime(n) == sympy.isprime(n), n
 
     def test_factor_semiprime_against_sympy(self):
@@ -351,7 +335,7 @@ class TestPrimalityOracles:
         def prime_in(lo, hi):  # a prime in [lo, hi), for a prime lo
             return sympy.prevprime(rng.randrange(lo + 1, hi))
 
-        ns = [65521**2, 65519 * 65521, 1009**2, 1009 * 1013, 2**32 - 1, *PSEUDOPRIMES]
+        ns = [65519 * 65521, *corners.PRIME_CASES]
         for _ in range(400):  # each factor drawn below or above 1009
             p = prime_in(3, 1009) if rng.random() < 0.5 else prime_in(1009, 2**16)
             q = prime_in(3, 1009) if rng.random() < 0.3 else prime_in(1009, 2**32 // p)
@@ -385,7 +369,7 @@ class TestPrimalityOracles:
         assert 997 in seen and 2 in seen
 
     def test_prime_factors_against_the_definition(self):
-        primes = set(primes_below(5000))
+        primes = set(reference.primes_below(5000))
         for n in range(-3, 5000):
             factors = modnum._prime_factors(n)
             assert factors == sorted(factors) and set(factors) <= primes, n
@@ -408,51 +392,23 @@ class TestNthRootModPrime:
                 assert r is None
 
     def test_root_choice_is_lexicographic_minimum(self):
-        # Oracle: with the prime factors of t ascending, l0 <= l1 <= ..., the
-        # root returned is the one whose (x**(t/l0), x**(t/(l0*l1)), ..., x)
-        # is smallest, found here among all roots by full scan.
+        # Oracle: the root returned is the least by reference.canonical_root's
+        # rule among all roots of c, found here by full scan.
         for t in range(1, 13):
-            ells, rest = [], t
-            for f in (2, 3, 5, 7, 11):
-                while rest % f == 0:
-                    ells.append(f)
-                    rest //= f
-            exps = [t // math.prod(ells[:i + 1]) for i in range(len(ells))]
-            for p in (p for p in range(2, 200) if is_prime(p)):
-                best = {}
-                for x in range(1, p):
-                    c = pow(x, t, p)
-                    key = tuple(pow(x, e, p) for e in exps)
-                    if c not in best or key < best[c][0]:
-                        best[c] = (key, x)
-                for c, (_, x) in best.items():
-                    assert nth_root_mod_prime(c, t, p) == x, (c, t, p)
+            for p in reference.primes_below(200):
+                for c, roots in reference.fibers(t, p).items():
+                    expected = reference.canonical_root(roots, t, p)
+                    assert nth_root_mod_prime(c, t, p) == expected, (c, t, p)
 
     def test_root_choice_at_large_primes(self):
-        # The same rule at primes far beyond a full scan.  For the first
-        # three, p - 1 is divisible by 27720 = lcm(2..12), so gcd(t, p-1) = t.
-        # 4294955009 has 2**12 || p-1 and 3 ∤ p-1, so gcd(t, p-1) < t for
-        # t = 3, 6, 12; 4294948699 has 3**9 || p-1 and p ≡ 3 (mod 4), a Sylow
-        # subgroup deeper than t's share of it.  The roots of unity come
-        # from the distinct pow(z, (p-1)/d, p), z = 2, 3, ..., and the root
-        # returned must be least by the rule among its products with them.
-        for p in (4294964521, 4294742761, 1025641, 4294955009, 4294948699):
+        # The same rule at primes far beyond a full scan: the root returned is
+        # the least by the rule among its products with the roots of unity.
+        for p in corners.ROOT_CHOICE_PRIMES:
             for t in range(2, 13):
-                d, unity, z = math.gcd(t, p - 1), set(), 2
-                while len(unity) < d:
-                    unity.add(pow(z, (p - 1) // d, p))
-                    z += 1
-                ells, rest = [], t
-                for f in (2, 3, 5, 7, 11):
-                    while rest % f == 0:
-                        ells.append(f)
-                        rest //= f
-                exps = [t // math.prod(ells[:i + 1]) for i in range(len(ells))]
                 for m in range(2, 40):
                     r = nth_root_mod_prime(pow(m, t, p), t, p)
-                    best = min((r * w % p for w in unity),
-                               key=lambda x: tuple(pow(x, e, p) for e in exps))
-                    assert r == best, (m, t, p)
+                    roots = reference.candidates(r, t, p)
+                    assert r == reference.canonical_root(roots, t, p), (m, t, p)
 
     def test_deterministic(self):
         assert nth_root_mod_prime(12, 6, 13) == nth_root_mod_prime(12, 6, 13)
@@ -468,7 +424,7 @@ class TestNthRootModPrime:
 
 def test_roots_agree_with_sympy():
     residue = pytest.importorskip("sympy.ntheory.residue_ntheory")
-    primes = [p for p in range(3, 600) if is_prime(p)]
+    primes = reference.primes_below(600)[1:]
     for p in primes:
         for a in range(p):
             assert sqrtmod(a, p) == tuple(sorted(residue.sqrt_mod(a, p, all_roots=True)))

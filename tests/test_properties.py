@@ -28,6 +28,9 @@ from powmap import (
 from powmap.modnum import FACTOR_BOUND, T_BOUND, nth_root_mod_prime
 from powmap.protocol import PACKET_FIELDS
 
+import corners
+import reference
+
 settings.register_profile("powmap", derandomize=True, database=None, deadline=None,
                           max_examples=200)
 settings.load_profile("powmap")
@@ -76,12 +79,7 @@ DECODE_KEYS = [
     (5, 43, None), (4, 7, None),  # not divisible
     (5, 101, None), (3, 109, None),  # t squared
     (5, 11, 7), (5, 7, 13), (5, 31, 11), (6, 31, 13), (12, 37, 13), (9, 19, 37),  # exactly, not, squared
-    (5, 4294967291, None), (7, 4294967279, None), (4, 4294967197, None),  # t exactly
-    (3, 4294967291, None), (11, 4294967279, None),  # not divisible
-    (2, 4294967197, None),  # t squared
-    (5, 65521, 65519), (3, 65497, 65519), (4, 65479, 65447),  # t exactly
-    (11, 65521, 65519), (5, 65497, 65519),  # not divisible
-    (2, 65519, 65479), (2, 65521, 65519), (12, 65521, 65519),  # t squared
+    *corners.CLASS_KEYS,
 ]
 
 
@@ -147,14 +145,7 @@ def test_keys_from_the_whole_contract(data):
     assert decode(pkt, params, rs) == m
     assert pow(extract_root(pkt.c, params), t, n) == pkt.c
     # Per prime factor, the canonical root is the least by its rule among its
-    # products with the roots of unity, found here as pow(z, (f-1)/d, f), z = 1, 2, ....
-    ells = sympy.factorint(t, multiple=True)
-    exps = [t // math.prod(ells[:i + 1]) for i in range(len(ells))]
+    # products with the roots of unity.
     for f in (p, q) if q else (p,):
-        d, unity, z = math.gcd(t, f - 1), set(), 1
-        while len(unity) < d:  # all d appear before z reaches f, where the power is 0
-            unity.add(pow(z, (f - 1) // d, f))
-            z += 1
         r = nth_root_mod_prime(pkt.c % f, t, f)
-        assert r == min((r * w % f for w in unity),
-                        key=lambda x: [pow(x, e, f) for e in exps]), (t, p, q, m)
+        assert r == reference.canonical_root(reference.candidates(r, t, f), t, f), (t, p, q, m)

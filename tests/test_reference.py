@@ -5,24 +5,24 @@ counted rank.  So a rule that is wrong the same way in encode and decode,
 or in the Garner join of a semiprime's roots, shows up here.
 """
 
+import ast
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+import corners
 import reference
 from powmap import NotResidue, Packet, decode, encode, make_params, root_set
 
 BOUND = 400  # every prime and semiprime key below it, for every t = 2..12 (about 5 s)
 CHECKED = 409288  # (key, message) pairs in that sweep
-# The last five primes have deep odd Sylow subgroups: p-1 holds 3**18, 3**17, 5**13, 7**10
-# and 11**8 in turn.
-FIXED_KEYS = ((4294967291,), (4294967279,), (65497, 65479), (3221225473,), (65537, 40961),
-              (3874204891,), (258280327,), (2441406251,), (1129900997,), (1286153287,))
 
 
 def _small_keys():
-    primes = [p for p in range(3, BOUND) if all(p % d for d in range(2, p))]
+    primes = reference.primes_below(BOUND)[1:]
     yield from ((p,) for p in primes)
     yield from ((p, q) for p in primes for q in primes if p != q and p * q < BOUND)
 
@@ -48,7 +48,7 @@ def test_every_small_key_and_message_agrees_with_the_full_scan():
     assert checked == CHECKED
 
 
-@pytest.mark.parametrize("factors", FIXED_KEYS, ids=lambda f: "*".join(map(str, f)))
+@pytest.mark.parametrize("factors", corners.FIXED_KEYS, ids=lambda f: "*".join(map(str, f)))
 def test_seeded_messages_on_fixed_keys_agree_with_the_reference(factors):
     rng = random.Random(sum(factors))
     for t in range(2, 13):
@@ -63,3 +63,41 @@ def test_seeded_messages_on_fixed_keys_agree_with_the_reference(factors):
             pkt = encode(m, params, rs)
             assert pkt == Packet(t, n, pow(m, t, n), reference.rank(m, cands)), (t, m)
             assert decode(pkt, params, rs) == reference.pick(pkt.rank, cands) == m
+
+
+@pytest.mark.parametrize("name", ["reference.py", "corners.py"])
+def test_oracle_modules_import_only_the_standard_library(name):
+    # So no defect in powmap can change the keys or the oracles that check it.
+    for node in ast.walk(ast.parse((Path(__file__).parent / name).read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module if node.level == 0 else "."]
+        else:
+            continue
+        for module in modules:
+            assert module.split(".")[0] in sys.stdlib_module_names, (name, module)
+
+
+def test_corner_keys_are_inside_the_contract():
+    small = reference.primes_below(65537)  # every prime up to the square root of 2**32
+
+    def odd_prime(f):
+        return f > 2 and all(f % d for d in small if d * d <= f)
+
+    primes = (*corners.LARGE_PRIMES, *corners.DEEP_PRIMES, *corners.ODD_DEEP_PRIMES,
+              *corners.ROOT_CHOICE_PRIMES)
+    keys = [(p,) if q is None else (p, q) for _, p, q in corners.CLASS_KEYS]
+    for factors in [(p,) for p in primes] + keys + list(corners.FIXED_KEYS):
+        assert all(map(odd_prime, factors)) and len(set(factors)) == len(factors), factors
+        assert math.prod(factors) < 2**32, factors
+    assert not any(map(odd_prime, corners.PSEUDOPRIMES))
+    assert all(0 < n < 2**32 for n in corners.PRIME_CASES)
+    # Each divisibility class of t against phi, for a prime and for a semiprime key.
+    classes = set()
+    for t, p, q in corners.CLASS_KEYS:
+        phi = (p - 1) * (1 if q is None else q - 1)
+        assert 2 <= t <= 12
+        classes.add((q is None, phi % t == 0, phi % (t * t) == 0))
+    assert classes == {(prime, *cls) for prime in (True, False)
+                       for cls in ((False, False), (True, False), (True, True))}

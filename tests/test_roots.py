@@ -16,6 +16,7 @@ from powmap import (
 from powmap import modnum
 from powmap.modnum import element_order
 
+from reference import primes_below
 from worked_examples import (
     QUINTIC_ROOTS_11,
     QUINTIC_ROOTS_31,
@@ -25,7 +26,6 @@ from worked_examples import (
     SEXTIC_ROOTS_13,
     SEXTIC_ROOTS_31,
     SEXTIC_ROOTS_43,
-    primes_below,
 )
 
 

@@ -31,15 +31,15 @@ from powmap import (
     root_set,
 )
 from powmap import modnum
-from powmap.modnum import _any_root, is_prime
+from powmap.modnum import _any_root
 
+from reference import primes_below
 from worked_examples import (
     CANDIDATES_28_MOD_61,
     CANDIDATES_51_MOD_341,
     QUINTIC_ROOTS_61,
     TABLE_43_7,
     TABLE_61_9,
-    primes_below,
 )
 
 
@@ -152,7 +152,7 @@ class TestExtractRoot:
     def test_bijection_when_not_divisible(self):
         # gcd(t, phi) = 1: x -> x**t is a bijection mod n, non-units included,
         # so the per-prime route must return the one brute-force root.
-        primes = [p for p in range(3, 200) if is_prime(p)]
+        primes = primes_below(200)[1:]
         keys = [(p, None) for p in primes] + [
             (p, q) for i, p in enumerate(primes[:10]) for q in primes[i + 1:10]]
         checked = 0
@@ -218,7 +218,7 @@ class TestCandidateSet:
 def _smallest_keys(bound=2000):
     """(t, p) or (t, p, q): the smallest modulus below bound for each t in 2..12,
     kind (prime or semiprime) and divisibility class that has one."""
-    primes = [p for p in range(3, bound) if is_prime(p)]
+    primes = primes_below(bound)[1:]
     semiprimes = sorted(((p, q) for p in primes for q in primes if p < q and p * q < bound),
                         key=lambda pq: pq[0] * pq[1])
     keys = {}
@@ -294,7 +294,7 @@ class TestEncodeDecode:
         # t = 2..12, every prime p < 1000 alone and with each of the next five
         # primes, m in (2, 3, n-1) where m is a unit: every divisibility class
         # and every regime the paper's inverse exponent does not cover.
-        primes = [p for p in range(3, 1000) if is_prime(p)]
+        primes = primes_below(1000)[1:]
         checked = 0
         for t in range(2, 13):
             for i, p in enumerate(primes):
@@ -446,8 +446,8 @@ class TestMappingTable:
     def test_rows_are_the_cosets_of_alpha(self, t):
         # Oracle: <alpha> is the set of t-th roots of unity, its cosets are
         # formed as sets, and the rows come in order of their least member.
-        for p in range(3, 500):
-            if not is_prime(p) or make_params(t, p).div_class is not DivClass.T_EXACTLY:
+        for p in primes_below(500)[1:]:
+            if make_params(t, p).div_class is not DivClass.T_EXACTLY:
                 continue
             unity = [x for x in range(1, p) if pow(x, t, p) == 1]
             cosets = sorted({frozenset(m * u % p for u in unity) for m in range(1, p)}, key=min)
