@@ -66,10 +66,15 @@ class CrtBasis(namedtuple("CrtBasis", "p q q_inv_mod_p p_inv_mod_q n")):
         return cls(p, q, invmod(q, p), invmod(p, q), p * q)
 
 
+def _garner(r_p: int, r_q: int, p: int, q: int, q_inv: int) -> int:
+    """Garner's x in [0, p*q) with x ≡ r_p (mod p) and x ≡ r_q (mod q), for q*q_inv ≡ 1 (mod p)."""
+    r_q %= q  # reduced first, so the sum lands in [0, p*q)
+    return r_q + q * ((r_p - r_q) * q_inv % p)
+
+
 def crt_pair(r_p: int, r_q: int, basis: CrtBasis) -> int:
-    """The unique x mod p*q with x ≡ r_p (mod p) and x ≡ r_q (mod q), in Garner's form."""
-    b = r_q % basis.q  # reduced first, so the sum lands in [0, p*q)
-    return b + basis.q * ((r_p - b) * basis.q_inv_mod_p % basis.p)
+    """The unique x mod p*q with x ≡ r_p (mod p) and x ≡ r_q (mod q), by _garner."""
+    return _garner(r_p, r_q, basis.p, basis.q, basis.q_inv_mod_p)
 
 
 def sqrtmod(a: int, p: int) -> tuple[int, ...]:

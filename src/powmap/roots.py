@@ -88,11 +88,10 @@ def lift_roots(rs_p: RootSet, rs_q: RootSet) -> RootSet:
 
 
 def _crt_join(t: int, p: int, q: int, orders_p: dict, orders_q: dict) -> RootSet:
-    """The root set mod p*q from {root: order} mod p and q, joined as in modnum.crt_pair."""
+    """The root set mod p*q from {root: order} mod p and q, each pair joined by modnum._garner."""
     q_inv = modnum.invmod(q, p)
-    vs = [(b % q, e) for b, e in orders_q.items()]
-    return _from_orders(p * q, t, {b + q * ((a - b) * q_inv % p): math.lcm(d, e)
-                                   for a, d in orders_p.items() for b, e in vs})
+    return _from_orders(p * q, t, {modnum._garner(a, b, p, q, q_inv): math.lcm(d, e)
+                                   for a, d in orders_p.items() for b, e in orders_q.items()})
 
 
 def eligible_generators(rs: RootSet) -> list[int]:

@@ -144,8 +144,7 @@ def _root_per_prime(c: int, params: Params, root_mod_prime) -> int:
         parts.append(root_f)
     if params.q is None:
         return parts[0]
-    (r_p, r_q), p, q = parts, params.p, params.q
-    return r_q + q * ((r_p - r_q) * modnum.invmod(q, p) % p)
+    return modnum._garner(*parts, params.p, params.q, modnum.invmod(params.q, params.p))
 
 
 def candidate_set(x: int, rs: RootSet) -> list[int]:
