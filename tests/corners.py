@@ -23,6 +23,10 @@ PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2284453, 27509653, 87558127
 PRIME_CASES = (4294967291, 4294967279, 65497 * 65479, 65521**2, 1009**2, 1009 * 1013, 2**32 - 1,
                *PSEUDOPRIMES)
 
+# The extract_root sweep's keys: the paper's worked keys, then 65497 * 65479 near 2**32, and
+# 193 * 307 and 97 * 967, where 2**6 and 2**5 divide p-1.
+EXTRACT_KEYS = ((61,), (11, 17), (11, 31), (43,), (13, 31), (65497, 65479), (193, 307), (97, 967))
+
 # (t, p, q) in each divisibility class of t against phi at n near 2**32, q None for a prime.
 CLASS_KEYS = (
     (5, 4294967291, None), (7, 4294967279, None), (4, 4294967197, None),  # t exactly

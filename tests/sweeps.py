@@ -6,8 +6,10 @@ digest hashes, in a fixed order, the ``repr`` of every result, or the
 exception class name of a call that raises, with ``;`` after each.  Two
 trees that print the same digests return the same values, in the same
 order, over the whole sweep.  ``tests/data/sweeps.txt`` holds the
-current output, and CI compares the two.  The file name does not match
-``test_*.py``, so pytest does not collect it.  Named key groups are from ``corners.py``.
+recorded output.  ``python -m pytest`` checks each digest against it
+(``test_sweeps.py``), and this script prints the digests so that two trees
+can be compared.  The file name does not match ``test_*.py``, so pytest
+does not collect it.  Named key groups are from ``corners.py``.
 
 - ``root_set``: every ``t = 1..12`` over prime keys (primes below 400, large
   primes, composites) and ordered semiprime pairs; the ``repr`` shows
@@ -32,12 +34,11 @@ import random
 from powmap import extract_root, make_params, root_set
 from powmap.modnum import _root_plan, factor_semiprime, is_prime, nth_root_mod_prime, sqrtmod
 
-from corners import DEEP_PRIMES, LARGE_PRIMES, ODD_DEEP_PRIMES, PRIME_CASES
+from corners import DEEP_PRIMES, EXTRACT_KEYS, LARGE_PRIMES, ODD_DEEP_PRIMES, PRIME_CASES
 from reference import primes_below
 
 SMALL_PRIMES = primes_below(700)[1:]
 SEMI_FACTORS = (2, 3, 5, 7, 11, 13, 17, 19, 31, 37, 43, 61, 73, 97, 181, 241, 65537)
-EXTRACT_KEYS = ((61,), (11, 17), (11, 31), (43,), (13, 31), (65497, 65479), (193, 307), (97, 967))
 
 
 class Digest:
@@ -109,7 +110,10 @@ def primes_digest() -> str:
     return d.hexdigest()
 
 
+# Each sweep by its name in tests/data/sweeps.txt, in the order of its lines.
+SWEEPS = {"root_set": root_set_digest, "_root_plan": root_plan_digest,
+          "roots": roots_digest, "primes": primes_digest}
+
 if __name__ == "__main__":
-    for name, sweep in (("root_set", root_set_digest), ("_root_plan", root_plan_digest),
-                        ("roots", roots_digest), ("primes", primes_digest)):
+    for name, sweep in SWEEPS.items():
         print(name, sweep())

@@ -90,6 +90,28 @@ class TestTextCommands:
         assert "bob decoded = 28" in lines
         assert lines[-1] == "match = true"
 
+    @pytest.mark.parametrize("argv, expected", [
+        # Factors 341 through the small-prime screen and joins the root sets in Garner's form.
+        ("roots --t 5 --n 341",
+         "1 4 16 47 64 70 78 97 125 126 157 159 163 188 190 202 218 221 225 256 280 287 295 311 312"),
+        # Deep 2- and 3-Sylow subgroups (2**3 and 3**3 divide p-1), then 3**18 | p-1.
+        ("decode --t 12 --p 4294964521 --c 149690263 --rank 3", "123456789"),
+        ("decode --t 6 --p 3874204891 --c 405610211 --rank 1", "1000"),
+        # 65497 * 65521: a balanced semiprime that only Pollard-Brent splits, 144 candidates at t = 12.
+        ("decode --t 12 --n 4291428937 --c 3888152046 --rank 7", "123456789"),
+        # The same key's root set: 144 roots, each one pair of per-prime roots joined by Garner's form.
+        ("roots --t 12 --n 4291428937", 144),
+    ], ids=["roots-341", "decode-deep-2-3-sylow", "decode-deep-3-sylow", "decode-144-candidates",
+            "roots-144"])
+    def test_contract_corner_answers(self, capsys, argv, expected):
+        """The line the command prints or, for an int, how many words it prints."""
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        if isinstance(expected, int):
+            assert len(out.split()) == expected
+        else:
+            assert out == expected + "\n"
+
 
 class TestJsonCommands:
     def test_session_json_contains_exact_packet_line(self, capsys):

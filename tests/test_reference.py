@@ -88,7 +88,7 @@ def test_corner_keys_are_inside_the_contract():
     primes = (*corners.LARGE_PRIMES, *corners.DEEP_PRIMES, *corners.ODD_DEEP_PRIMES,
               *corners.ROOT_CHOICE_PRIMES)
     keys = [(p,) if q is None else (p, q) for _, p, q in corners.CLASS_KEYS]
-    for factors in [(p,) for p in primes] + keys + list(corners.FIXED_KEYS):
+    for factors in [(p,) for p in primes] + keys + [*corners.FIXED_KEYS, *corners.EXTRACT_KEYS]:
         assert all(map(odd_prime, factors)) and len(set(factors)) == len(factors), factors
         assert math.prod(factors) < 2**32, factors
     assert not any(map(odd_prime, corners.PSEUDOPRIMES))
