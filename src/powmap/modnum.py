@@ -252,16 +252,18 @@ def _root_plan(t: int, p: int) -> tuple:
     Write p-1 = A*B with A made only of primes dividing t.  Returns
     (b_exp, sylow, unity, exps):
     - c**b_exp is a t-th root of the part of c whose order divides B;
-    - sylow has one entry (ell, s, m, g_inv, table, gw, ell**k) per prime
-      ell | t with ell**s || p-1 and ell**k || t, s > k: m = (p-1)/ell**s,
-      g = z**m for _unity's z generates the ell-Sylow subgroup, table =
-      {gamma**j: j} for gamma = g**(ell**(s-1)), and gw = g**w with w the
-      inverse of m*t/ell**k mod ell**(s-k);
+    - sylow has one entry (ell, s, m, g_inv, table, gw, ell**k, width) per
+      prime ell | t with ell**s || p-1 and ell**k || t, s > k: m = (p-1)/ell**s,
+      g = z**m for _unity's z generates the ell-Sylow subgroup, width is the
+      largest w <= s with ell**w <= 64, table = {gamma**j: j} for j < ell**w
+      and gamma = g**(ell**(s-w)), and gw = g**v with v the inverse of
+      m*t/ell**k mod ell**(s-k);
     - unity holds the gcd(t, p-1) t-th roots of unity;
     - exps is t/l0, t/(l0*l1), ..., 1 for the prime factors l0 <= l1 <= ...
       of t.
-    Bounded so a receiver under many keys stays small: a plan takes about 520 B,
-    4096 plans about 2 MB, and one wide-keys round's ~1,075 (t, p) pairs fit.
+    Bounded so a receiver under many keys stays small: a plan takes about 1.4 KB
+    on the corner keys and at most about 7.5 KB (t = 12, 2**8*3**5 | p-1), so
+    4096 plans at most about 30 MB; one wide-keys round's ~1,075 (t, p) pairs fit.
     """
     z, unity = _unity(t, p)  # checks p first; the one search of the plan
     ells = _prime_factors(t)
@@ -274,10 +276,12 @@ def _root_plan(t: int, p: int) -> tuple:
         a_part *= ell**s
         if s > k:
             g = pow(z, m, p)  # ell | gcd(t, p-1) and z is no ell-th power: order ell**s
-            gamma = pow(g, ell ** (s - 1), p)
-            table = {pow(gamma, j, p): j for j in range(ell)}
-            w = pow(m * t // ell**k, -1, ell ** (s - k))
-            sylow.append((ell, s, m, pow(g, -1, p), table, pow(g, w, p), ell**k))
+            width = max(w for w in range(1, s + 1) if ell**w <= 64)
+            gamma, x, table = pow(g, ell ** (s - width), p), 1, {}
+            for j in range(ell**width):
+                table[x], x = j, x * gamma % p
+            v = pow(m * t // ell**k, -1, ell ** (s - k))
+            sylow.append((ell, s, m, pow(g, -1, p), table, pow(g, v, p), ell**k, width))
     b_exp = a_part * pow(a_part * t, -1, (p - 1) // a_part)
     exps = tuple(t // math.prod(ells[:i + 1]) for i in range(len(ells)))
     return b_exp, tuple(sylow), tuple(unity), exps
@@ -288,18 +292,21 @@ def _any_root(c: int, t: int, p: int) -> int | None:
 
     From the cached per-key plan (_root_plan): one pow for the part of the
     group prime to t, and for each Sylow subgroup the Pohlig-Hellman digits
-    of a discrete log, read by dict lookup (Adleman-Manders-Miller).  Which
-    root comes out is whatever the plan gives; t is not range-checked here.
+    of a discrete log, read width digits per lookup in the plan's table of at
+    most 64 entries (Adleman-Manders-Miller; Bernstein 2001).  Which root
+    comes out is whatever the plan gives; t is not range-checked here.
     """
     b_exp, sylow, _, _ = _root_plan(t, p)  # checks p before any early return
     c %= p
     if c == 0:
         return 0
     x = pow(c, b_exp, p)
-    for ell, s, m, g_inv, table, gw, ell_k in sylow:
+    for ell, s, m, g_inv, table, gw, ell_k, width in sylow:
         h, e = pow(c, m, p), 0
-        for j in range(s):
-            e += table[pow(h * pow(g_inv, e, p) % p, ell ** (s - 1 - j), p)] * ell**j
+        for i in range(0, s - width, width):  # h is g**(E - e), e = E mod ell**i, E = log_g(c**m)
+            d = table[pow(h, ell ** (s - i - width), p)] * ell**i
+            h, e = h * pow(g_inv, d, p) % p, e + d
+        e += table[h] * ell ** (s - width)  # the last chunk may overlap digits taken out
         # When ell**k does not divide e, c has no root and the check below fails.
         x = x * pow(gw, e // ell_k, p) % p
     return x if pow(x, t, p) == c else None

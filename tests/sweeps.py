@@ -15,7 +15,9 @@ does not collect it.  Named key groups are from ``corners.py``.
   primes, composites) and ordered semiprime pairs; the ``repr`` shows
   ``roots`` and ``orders.items()`` in their stored order.
 - ``_root_plan``: the cached per-key plan of ``modnum``, ``t = 1..12`` over
-  primes below 700 and large primes, the deep 2-Sylow ones among them.
+  primes below 700, large primes, and primes with deep 2-, 3-, 5-, 7- and
+  11-Sylow subgroups, so that every width of the plan's digit tables is
+  pinned.
 - ``roots``: ``nth_root_mod_prime`` and ``sqrtmod`` over every residue of
   each odd prime below 700, ``nth_root_mod_prime`` on seeded ciphers at
   large primes and at primes with deep 2-, 3-, 5-, 7- and 11-Sylow
@@ -71,7 +73,7 @@ def root_set_digest() -> str:
 
 def root_plan_digest() -> str:
     d = Digest()
-    for p in SMALL_PRIMES + [*LARGE_PRIMES, *DEEP_PRIMES]:
+    for p in SMALL_PRIMES + [*LARGE_PRIMES, *DEEP_PRIMES, *ODD_DEEP_PRIMES]:
         for t in range(1, 13):
             d.add(_root_plan, t, p)
     return d.hexdigest()

@@ -15,6 +15,7 @@ from powmap import (
 from powmap import modnum
 from powmap.modnum import (
     CrtBasis,
+    _any_root,
     _unity,
     crt_pair,
     element_order,
@@ -268,6 +269,52 @@ class TestUnityGenerator:
         finally:
             modnum._root_plan.cache_clear()
         assert calls == [(12, 4294964521)]
+
+
+class TestDigitChunks:
+    # A root reads the s digits of an ell-Sylow discrete log, ell**s || p-1, in chunks of
+    # w = MAX_WIDTH[ell] digits, the most with ell**w <= 64, or in one chunk when s < w; the
+    # last chunk may overlap the one before it.  A plan has an ell-Sylow entry only for
+    # s > k >= 1, where ell**k || t.
+    MAX_WIDTH = {2: 6, 3: 3, 5: 2, 7: 2, 11: 1}
+
+    @staticmethod
+    def _chunk_cases(s, w):
+        """The chunk boundaries that s digits read w at a time meet."""
+        return {case for case, holds in (("s<w", s < w), ("s=w", s == w), ("s=w+1", s == w + 1),
+                                         ("s=2w", s == 2 * w), ("s>2w", s > 2 * w),
+                                         ("s%w", s > w and s % w))
+                if holds}
+
+    def _deep_primes(self, ell):
+        """{case: the first prime of the corner and small primes whose ell-Sylow depth meets it}.
+        The small primes reach 20,000: s = 2w first occurs at 11251 for ell = 5, 14407 for 7."""
+        found = {}
+        for p in (*corners.DEEP_PRIMES, *corners.ODD_DEEP_PRIMES,
+                  *reference.primes_below(20_000)[1:]):
+            s, m = 0, p - 1
+            while m % ell == 0:
+                m, s = m // ell, s + 1
+            if s >= 2:
+                for case in self._chunk_cases(s, self.MAX_WIDTH[ell]):
+                    found.setdefault(case, p)
+        return found
+
+    def test_root_found_iff_euler_criterion_holds(self):
+        rng = random.Random(25)
+        for ell, w in self.MAX_WIDTH.items():
+            found = self._deep_primes(ell)
+            # Every case that some s >= 2 meets, from the deepest corner prime or below 20,000.
+            assert set(found) == set().union(*(self._chunk_cases(s, w) for s in range(2, 4 * w)))
+            for p in set(found.values()):
+                for t in range(ell, 13, ell):
+                    d = math.gcd(t, p - 1)
+                    ciphers = [rng.randrange(1, p) for _ in range(40)]
+                    ciphers += [pow(rng.randrange(1, p), t, p) for _ in range(40)]
+                    for c in ciphers:
+                        x = _any_root(c, t, p)
+                        assert (x is not None) == (pow(c, (p - 1) // d, p) == 1), (c, t, p)
+                        assert x is None or pow(x, t, p) == c, (c, t, p)
 
 
 class TestFactorSemiprime:

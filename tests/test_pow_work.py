@@ -17,10 +17,11 @@ from powmap import decode, encode, make_params, modnum, root_set, transform
 PRIMES = (*corners.LARGE_PRIMES, *corners.DEEP_PRIMES, *corners.ODD_DEEP_PRIMES)
 KEYS = [(t, factors) for t in range(2, 13)
         for factors in (*((p,) for p in PRIMES), *(f for f in corners.FIXED_KEYS if len(f) == 2))]
-# Exponent bits per bit of n.  The worst today: a decode at (10, 3221225473) spends 64 calls and
-# 938 bits (29.7 per bit), a key set-up at (12, 2013265921) 143 calls and 1,523 bits (49.3).
-# Tighten both once a deep Sylow subgroup's digits are taken several at a time (ROADMAP item 10).
-DECODE_K = 32
+# Exponent bits per bit of n.  The worst decode is at (5, 2441406251): 16 calls and 230 bits
+# (7.4 per bit), since 5**3 > 64 leaves its 13 5-Sylow digits two per table lookup.  The worst
+# key set-up is at (12, 2013265921): 141 calls and 1,517 bits (49.1), about half of them in the
+# _unity search that root_set and the plan each run (ROADMAP item 11), so SETUP_K waits on that.
+DECODE_K = 8
 SETUP_K = 52
 
 

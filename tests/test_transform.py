@@ -339,8 +339,8 @@ class TestEncodeDecode:
     def test_root_plan_cache_is_bounded(self):
         # A receiver decoding under more distinct keys than the plan cache holds: the
         # cache stops at its bound, and once full, 1,000 more keys leave memory near
-        # flat (about 35 B a key from plans of other sizes; an unbounded cache grew
-        # about 520 B a key).  gc.collect() empties the free lists before each reading.
+        # flat (about 42 B a key from plans of other sizes; an unbounded cache grew
+        # about 690 B a key).  gc.collect() empties the free lists before each reading.
         maxsize = modnum._root_plan.cache_info().maxsize
         assert maxsize is not None
         keys = [(t, p) for p in primes_below(10_000)[168:] for t in range(2, 13)][:maxsize + 1_200]
