@@ -4,8 +4,8 @@ Everything here is a pure function of its arguments: inverses, CRT
 recombination, modular square and t-th roots, multiplicative
 orders, primality and desk-scale factoring.  Moduli are assumed to be desk
 scale; primality and factoring enforce n < 2**32.  Both first screen n with
-one gcd against the primes below 1009, then run Miller-Rabin or
-Pollard-Brent, so checking and factoring a key cost a polynomial in log n.
+one gcd against the primes below 1009, then run Miller-Rabin or Pollard's
+rho, so checking and factoring a key cost a polynomial in log n.
 """
 
 from __future__ import annotations
@@ -162,23 +162,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _pollard_brent(n: int) -> int:
-    """A factor 1 < f < n of the composite n, which is not a square and has no
-    prime factor below 1009: Pollard's rho on y -> y*y + c from y = 2 with
-    Brent's cycle finding, one gcd per run of steps, for c = 1, 2, ... in turn."""
+def _pollard_rho(n: int) -> int:
+    """A factor 1 < f < n of a composite n with no prime factor below 1009: Pollard's rho on
+    y -> y*y + c from y = 2 with Floyd's cycle finding, one gcd per step, c = 1, 2, ... in turn."""
     for c in itertools.count(1):
-        y, r, g = 2, 1, 1
+        x, y, g = 2, 2, 1
         while g == 1:
-            x, prod = y, 1
-            for _ in range(r):
-                y = (y * y + c) % n
-                prod = prod * (x - y) % n
-            g, r = math.gcd(prod, n), 2 * r
-        if g == n:  # the run met every prime of n: retrace it one step at a time
-            y, g = x, 1
-            while g == 1:
-                y = (y * y + c) % n
-                g = math.gcd(x - y, n)
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = math.gcd(x - y, n)
         if g < n:
             return g
 
@@ -187,7 +180,7 @@ def factor_semiprime(n: int) -> tuple[int, int | None]:
     """(n, None) for a prime n, else the two prime factors (p, q), p <= q.
 
     A factor comes from trial division below 1009 when n has a prime
-    factor there, from isqrt when n is a square, else from Pollard-Brent.
+    factor there, else from Pollard's rho, which splits squares too.
     NotSupported when n carries three or more prime factors counted with
     multiplicity, or n >= 2**32.
     """
@@ -195,13 +188,8 @@ def factor_semiprime(n: int) -> tuple[int, int | None]:
         raise ValueError(f"n must be >= 2, got {n}")
     if is_prime(n):  # NotSupported for n >= 2**32
         return (n, None)
-    small, root = math.gcd(n, _SMALL_PRODUCT), math.isqrt(n)
-    if small > 1:
-        f = _prime_factors(small)[0]
-    elif root * root == n:
-        f = root
-    else:
-        f = _pollard_brent(n)
+    small = math.gcd(n, _SMALL_PRODUCT)
+    f = _prime_factors(small)[0] if small > 1 else _pollard_rho(n)
     p, q = sorted((f, n // f))
     if is_prime(p) and is_prime(q):
         return (p, q)

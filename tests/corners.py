@@ -22,6 +22,14 @@ PSEUDOPRIMES = (2047, 1373653, 25326001, 3215031751, 2284453, 27509653, 87558127
 # around the small-prime bound 1009, 2**32 - 1, and the pseudoprimes.
 PRIME_CASES = (4294967291, 4294967279, 65497 * 65479, 65521**2, 1009**2, 1009 * 1013, 2**32 - 1,
                *PSEUDOPRIMES)
+# Composites with no prime factor below 1009, so only Pollard's rho splits them: balanced
+# semiprimes near 2**32, 1013 * q for the largest prime q with 1013 * q < 2**32, the squares
+# at both ends of the range, then 65167 * 65479 and 1217**2, where the walk for c = 1 ends on
+# gcd n and rho retries with c = 2, and last a cube, a square times a prime and three primes,
+# which are refused.
+ABOVE_SCREEN = (65497 * 65479, 65497 * 65521, 65519 * 65521, 65521 * 65537, 1013 * 4239847,
+                1009**2, 65521**2, 65167 * 65479, 1217**2,
+                1621**3, 1009**2 * 1013, 1009 * 1013 * 1019)
 
 # The extract_root sweep's keys: the paper's worked keys, then 65497 * 65479 near 2**32, and
 # 193 * 307 and 97 * 967, where 2**6 and 2**5 divide p-1.
@@ -40,7 +48,7 @@ CLASS_KEYS = (
 # Keys checked against the reference for every t = 2..12: the largest primes below 2**32, a
 # balanced semiprime, the deepest 2-Sylow prime, 65537 * 40961 (2**16 and 2**13 divide the
 # sides), the deep odd Sylow primes and the semiprimes of CLASS_KEYS.  Last, the largest root
-# set: 65497 * 65521 = 4291428937 has 144 roots at t = 12, and only Pollard-Brent splits it.
+# set: 65497 * 65521 = 4291428937 has 144 roots at t = 12, and only Pollard's rho splits it.
 FIXED_KEYS = ((4294967291,), (4294967279,), (65497, 65479), (3221225473,), (65537, 40961),
               *((p,) for p in ODD_DEEP_PRIMES),
               *dict.fromkeys((p, q) for _, p, q in CLASS_KEYS if q), (65497, 65521))

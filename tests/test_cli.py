@@ -97,7 +97,7 @@ class TestTextCommands:
         # Deep 2- and 3-Sylow subgroups (2**3 and 3**3 divide p-1), then 3**18 | p-1.
         ("decode --t 12 --p 4294964521 --c 149690263 --rank 3", "123456789"),
         ("decode --t 6 --p 3874204891 --c 405610211 --rank 1", "1000"),
-        # 65497 * 65521: a balanced semiprime that only Pollard-Brent splits, 144 candidates at t = 12.
+        # 65497 * 65521: a balanced semiprime that only Pollard's rho splits, 144 candidates at t = 12.
         ("decode --t 12 --n 4291428937 --c 3888152046 --rank 7", "123456789"),
         # The same key's root set: 144 roots, each one pair of per-prime roots joined by Garner's form.
         ("roots --t 12 --n 4291428937", 144),

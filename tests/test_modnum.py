@@ -76,11 +76,13 @@ class TestCrt:
         # Garner's form must reduce the q-side residue before the difference: without
         # that, crt_pair(4, 18, b) came out 86, not 103.
         b = CrtBasis.for_primes(11, 17)
-        assert crt_pair(4, 18, b) == 103
+        assert crt_pair(4, 18, b) == 103 == modnum._garner(4, 18, 11, 17, 2)
         for x in range(187):
             for k, j in ((1, 1), (3, 2), (-2, -5)):
                 assert crt_pair(x % 11 + 11 * k, x % 17 - 17 * j, b) == x
                 assert crt_pair(x % 11 - 11 * k, x % 17 + 17 * j, b) == x
+                assert modnum._garner(x % 11 + 11 * k, x % 17 - 17 * j, 11, 17, 2) == x
+                assert modnum._garner(x % 11 - 11 * k, x % 17 + 17 * j, 11, 17, 2) == x
 
     def test_basis_validation(self):
         from powmap import InvalidPrime
@@ -346,7 +348,7 @@ class TestFactorSemiprime:
             is_prime(2**32)
 
     def test_against_trial_division(self):
-        for n in range(2, 20_000):
+        for n in [*range(2, 20_000), *corners.ABOVE_SCREEN]:
             factors = reference.prime_factors(n)
             if len(factors) > 2:
                 with pytest.raises(NotSupported):
@@ -398,7 +400,7 @@ class TestPrimalityOracles:
                 assert factor_semiprime(n) == (*factors, None)[:2], n
 
     def test_no_trial_division_past_the_screen(self, monkeypatch):
-        # Near 2**32 the checks run one gcd, Miller-Rabin and Pollard-Brent; dividing any
+        # Near 2**32 the checks run one gcd, Miller-Rabin and Pollard's rho; dividing any
         # n >= 1009**2 by the small primes would be trial division again.
         prime_factors, seen = modnum._prime_factors, []
 

@@ -93,6 +93,8 @@ def test_corner_keys_are_inside_the_contract():
         assert math.prod(factors) < 2**32, factors
     assert not any(map(odd_prime, corners.PSEUDOPRIMES))
     assert all(0 < n < 2**32 for n in corners.PRIME_CASES)
+    assert all(n < 2**32 and len(f := reference.prime_factors(n)) > 1 and f[0] >= 1009
+               for n in corners.ABOVE_SCREEN)
     # Each divisibility class of t against phi, for a prime and for a semiprime key.
     classes = set()
     for t, p, q in corners.CLASS_KEYS:
