@@ -19,6 +19,7 @@ PACKET_FIELDS = ("t", "n", "c", "rank")
 MAX_LINE = 256  # a canonical packet is at most about 50 characters
 # Objects decode to tuples of pairs, so duplicate fields stay visible; built once, not per call.
 _DECODER = json.JSONDecoder(object_pairs_hook=tuple)
+_FIELD_SET = frozenset(PACKET_FIELDS)
 
 
 def serialize_packet(pkt: Packet) -> str:
@@ -55,7 +56,7 @@ def parse_packet(line: str | bytes) -> Packet:
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError among them
         raise MalformedPacket(f"invalid packet: {exc}") from exc
     obj = dict(pairs) if type(pairs) is tuple else {}
-    if obj.keys() != set(PACKET_FIELDS) or len(obj) != len(pairs):
+    if obj.keys() != _FIELD_SET or len(obj) != len(pairs):
         raise MalformedPacket(f"packet must be one object with exactly the fields {PACKET_FIELDS}")
     for name in PACKET_FIELDS:
         if type(obj[name]) is not int:  # refuses bool too

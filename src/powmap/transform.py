@@ -136,15 +136,16 @@ def extract_root(c: int, params: Params) -> int:
 def _root_per_prime(c: int, params: Params, root_mod_prime) -> int:
     """A t-th root of c mod n: root_mod_prime(c % f, t, f) per prime factor f, joined in
     Garner's form for a semiprime.  NotResidue where one has none; NotInvertible if p == q."""
-    parts = []
-    for f in (params.p,) if params.q is None else (params.p, params.q):
-        root_f = root_mod_prime(c % f, params.t, f)  # checked there: root_f**t ≡ c (mod f)
-        if root_f is None:
-            raise NotResidue(f"{c} has no {params.t}-th root mod {f}")
-        parts.append(root_f)
-    if params.q is None:
-        return parts[0]
-    return modnum._garner(*parts, params.p, params.q, modnum.invmod(params.q, params.p))
+    t, p, q = params.t, params.p, params.q
+    r_p = root_mod_prime(c % p, t, p)  # checked there: r_p**t ≡ c (mod p)
+    if r_p is None:
+        raise NotResidue(f"{c} has no {t}-th root mod {p}")
+    if q is None:
+        return r_p
+    r_q = root_mod_prime(c % q, t, q)
+    if r_q is None:
+        raise NotResidue(f"{c} has no {t}-th root mod {q}")
+    return modnum._garner(r_p, r_q, p, q, modnum.invmod(q, p))
 
 
 def candidate_set(x: int, rs: RootSet) -> list[int]:
@@ -154,7 +155,9 @@ def candidate_set(x: int, rs: RootSet) -> list[int]:
     t-th root x of the same cipher, since the root set is a group.
     """
     n = rs.modulus
-    return sorted([x * r % n for r in rs.roots])
+    cands = [x * r % n for r in rs.roots]
+    cands.sort()
+    return cands
 
 
 def encode(m: int, params: Params, rs: RootSet) -> Packet:

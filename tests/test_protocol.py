@@ -65,6 +65,7 @@ class TestParsePacket:
         "[1,2,3]",
         '{"t":5,"n":187,"c":56}',
         '{"t":5,"n":187,"c":56,"rank":1,"extra":0}',
+        '{"t":5,"n":61,"c":11,"rnk":3}',  # four fields, one misnamed
         '{"t":5,"n":187,"c":"56","rank":1}',
         '{"t":5,"n":187,"c":56.0,"rank":1}',
         '{"t":true,"n":187,"c":56,"rank":1}',
@@ -98,6 +99,9 @@ class TestParsePacket:
     def test_huge_field_is_malformed(self):
         with pytest.raises(MalformedPacket):
             parse_packet('{"t":5,"n":61,"c":' + "1" * 5000 + ',"rank":3}')
+
+    def test_fields_in_any_order(self):
+        assert parse_packet('{"rank":3,"c":11,"n":61,"t":5}') == Packet(5, 61, 11, 3)
 
     def test_duplicate_field_is_malformed(self):
         with pytest.raises(MalformedPacket):

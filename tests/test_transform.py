@@ -190,6 +190,10 @@ class TestExtractRoot:
         with pytest.raises(NotResidue) as exc:
             extract_root(2, make_params(5, 11, 31))
         assert str(exc.value) == "2 has no 5-th root mod 11"
+        # 10 is a 5th power mod 11 but not mod 31.
+        with pytest.raises(NotResidue) as exc:
+            extract_root(10, make_params(5, 11, 31))
+        assert str(exc.value) == "10 has no 5-th root mod 31"
 
 
 class TestCandidateSet:
@@ -271,11 +275,13 @@ class TestEncodeDecode:
 
     def test_forged_cipher_not_residue(self):
         # In range and a unit, but no message encrypts to it: decode names the refusal.
-        for factors, msg in (((61,), "2 has no 5-th root mod 61"),
-                             ((11, 31), "2 has no 5-th root mod 11")):
+        # 10 has a 5th root mod 11 but none mod 31, so only the q side refuses it.
+        for factors, c, msg in (((61,), 2, "2 has no 5-th root mod 61"),
+                                ((11, 31), 2, "2 has no 5-th root mod 11"),
+                                ((11, 31), 10, "10 has no 5-th root mod 31")):
             params, rs = make_params(5, *factors), root_set(5, *factors)
             with pytest.raises(NotResidue) as exc:
-                decode(Packet(5, params.n, 2, 1), params, rs)
+                decode(Packet(5, params.n, c, 1), params, rs)
             assert str(exc.value) == msg
 
     def test_counted_rank_matches_sorted_candidates(self):
