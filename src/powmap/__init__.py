@@ -15,7 +15,6 @@ from .errors import (
     MalformedPacket,
     NoSolution,
     NotCoprime,
-    NotCoprimeWarning,
     NotDivisor,
     NotInvertible,
     NotResidue,
@@ -59,7 +58,6 @@ __all__ = [
     "MalformedPacket",
     "NoSolution",
     "NotCoprime",
-    "NotCoprimeWarning",
     "NotDivisor",
     "NotInvertible",
     "NotResidue",

@@ -51,7 +51,3 @@ class FieldOutOfRange(PowmapError):
 
 class IneligibleGenerator(PowmapError):
     """The chosen root of unity does not have full order t."""
-
-
-class NotCoprimeWarning(UserWarning):
-    """Non-fatal flag: encrypting a non-unit, decode uniqueness not assured."""

@@ -8,7 +8,6 @@ the ascending candidate set does.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
@@ -20,7 +19,6 @@ from .errors import (
     MalformedPacket,
     NoSolution,
     NotCoprime,
-    NotCoprimeWarning,
     NotResidue,
     NotSupported,
     RankOutOfRange,
@@ -81,15 +79,11 @@ def make_params(t: int, p: int, q: int | None = None) -> Params:
 
 
 def encrypt(m: int, params: Params) -> int:
-    """c = m**t mod n.  Warns (NotCoprimeWarning) when m is not a unit."""
+    """c = m**t mod n.  NotCoprime, as in encode, when m is not a unit."""
     if not 1 <= m < params.n:
         raise ValueError(f"m must be in 1..{params.n - 1}, got {m}")
     if math.gcd(m, params.n) != 1:
-        warnings.warn(
-            f"gcd({m}, {params.n}) > 1: decode uniqueness is not guaranteed",
-            NotCoprimeWarning,
-            stacklevel=2,
-        )
+        raise NotCoprime(f"gcd({m}, {params.n}) > 1")
     return pow(m, params.t, params.n)
 
 

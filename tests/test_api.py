@@ -6,8 +6,8 @@ from powmap import modnum
 PUBLIC = {
     # errors
     "FieldOutOfRange", "IneligibleGenerator", "InvalidPrime", "MalformedPacket", "NoSolution",
-    "NotCoprime", "NotCoprimeWarning", "NotDivisor", "NotInvertible", "NotResidue",
-    "NotSupported", "PowmapError", "RankOutOfRange",
+    "NotCoprime", "NotDivisor", "NotInvertible", "NotResidue", "NotSupported", "PowmapError",
+    "RankOutOfRange",
     # roots
     "RootSet", "eligible_generators", "lift_roots", "quintic_roots_prime", "root_set",
     "roots_bruteforce", "sextic_roots_prime",
@@ -24,7 +24,7 @@ KERNEL = ("CrtBasis", "crt_pair", "element_order", "factor_semiprime", "invmod",
 
 
 def test_all_is_the_agreed_surface():
-    assert len(powmap.__all__) == len(PUBLIC) == 39
+    assert len(powmap.__all__) == len(PUBLIC) == 38
     assert set(powmap.__all__) == PUBLIC
     for name in PUBLIC:
         getattr(powmap, name)
@@ -39,3 +39,8 @@ def test_kernel_names_come_from_modnum():
 def test_formula_failure_is_gone():
     assert not hasattr(powmap, "FormulaFailure")
     assert not hasattr(powmap.errors, "FormulaFailure")
+
+
+def test_warning_class_is_gone():
+    assert not hasattr(powmap, "NotCoprimeWarning")
+    assert not hasattr(powmap.errors, "NotCoprimeWarning")

@@ -1,10 +1,13 @@
-"""Property tests of the wire format, run only where hypothesis is installed.
+"""Property tests of the wire format, the transform and the CLI, run only
+where hypothesis is installed.
 
 The profile is derandomized and keeps no example database, so every run
 draws the same examples and Tier-1 stays deterministic.
 """
 
+import contextlib
 import functools
+import io
 import json
 import math
 
@@ -12,7 +15,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from powmap import (
     Packet,
@@ -25,6 +28,7 @@ from powmap import (
     root_set,
     serialize_packet,
 )
+from powmap.cli import main
 from powmap.modnum import FACTOR_BOUND, T_BOUND, nth_root_mod_prime
 from powmap.protocol import PACKET_FIELDS
 
@@ -149,3 +153,53 @@ def test_keys_from_the_whole_contract(data):
     for f in (p, q) if q else (p,):
         r = nth_root_mod_prime(pkt.c % f, t, f)
         assert r == reference.canonical_root(reference.candidates(r, t, f), t, f), (t, p, q, m)
+
+
+# Each subcommand with the options it takes beyond --t, the key and --format.
+CLI_OPTIONS = {"params": (), "roots": (), "generators": (), "table": ("--alpha",),
+               "encrypt": ("--m",), "encode": ("--m",), "decode": ("--c", "--rank"),
+               "session": ("--m",), "groups": (), "matrix": ()}
+CLI_ERROR_NAMES = {"ValueError", *(cls.__name__ for cls in PowmapError.__subclasses__())}
+KEY_PRIMES = (3, 5, 7, 11, 13, 17, 31, 37, 43, 61, 101, 109, 113, 541, 967, 4999, 65521, 4294967291)
+
+
+@st.composite
+def cli_argvs(draw):
+    """A command line inside or outside the contract: t just beyond 2..12, keys
+    that are primes, products of two primes or any integers, values of either
+    sign, an option missing now and then, --n beside --p.  table stays below
+    p = 5000, since it prints a row per coset."""
+    command = draw(st.sampled_from(sorted(CLI_OPTIONS)))
+    bound = 5000 if command == "table" else 2**33
+    primes = st.sampled_from([p for p in KEY_PRIMES if p < bound])
+    ints = primes | st.integers(-2, bound)
+    keys = {"--p": ints, "--q": ints,
+            "--n": ints | st.builds(int.__mul__, primes, primes).filter(lambda n: n <= bound)}
+    argv = [command, "--t", str(draw(st.integers(0, T_BOUND + 1)))]
+    key_options = [("--p",), ("--p", "--q"), ("--n",)] * 3 + [(), ("--n", "--p")]  # last two: usage
+    for option in draw(st.sampled_from(key_options)):
+        argv += [option, str(draw(keys[option]))]
+    for option in CLI_OPTIONS[command]:
+        if draw(st.integers(0, 9)):  # else left out: a usage error, or table's default --alpha
+            argv += [option, str(draw(st.integers(-2, 200) | st.integers(-2**33, 2**33)))]
+    return argv + ["--format", draw(st.sampled_from(["text", "json"]))]
+
+
+@given(cli_argvs())
+@example(["encrypt", "--t", "2", "--n", "187", "--m", "11"])  # a non-unit, which draws seldom reach
+def test_cli_exits_0_1_or_2(argv):
+    # 0 with nothing on stderr, 1 with one named line, 2 for usage; no other exception escapes.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2, argv
+            return
+    stderr = err.getvalue()
+    if code == 0:
+        assert stderr == "", argv
+    else:
+        assert code == 1, argv
+        name, _, message = stderr.partition(": ")
+        assert name in CLI_ERROR_NAMES and message.endswith("\n") and message.count("\n") == 1, stderr

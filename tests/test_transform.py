@@ -11,7 +11,6 @@ from powmap import (
     InvalidPrime,
     NoSolution,
     NotCoprime,
-    NotCoprimeWarning,
     NotInvertible,
     NotResidue,
     NotSupported,
@@ -76,9 +75,23 @@ class TestEncrypt:
         assert encrypt(1, make_params(5, 61)) == 1
         assert encrypt(3, make_params(5, 11, 17)) == 56
 
-    def test_non_unit_warns(self):
-        with pytest.warns(NotCoprimeWarning):
+    def test_non_unit_refused(self):
+        with pytest.raises(NotCoprime, match=r"gcd\(11, 187\) > 1"):
             encrypt(11, make_params(5, 11, 17))
+
+    def test_refuses_what_encode_refuses(self):
+        def outcome(step):
+            try:
+                return step()
+            except NotCoprime as exc:
+                return f"NotCoprime: {exc}"
+
+        for key in ((5, 11, 17), (6, 13, 31)):
+            params, rs = make_params(*key), root_set(*key)
+            encrypted = [outcome(lambda: encrypt(m, params)) for m in range(1, params.n)]
+            encoded = [outcome(lambda: encode(m, params, rs).c) for m in range(1, params.n)]
+            assert encrypted == encoded
+            assert sum(isinstance(c, str) for c in encrypted) == params.n - 1 - params.phi  # non-units
 
     def test_range_enforced(self):
         with pytest.raises(ValueError):
