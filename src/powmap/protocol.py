@@ -3,11 +3,17 @@
 Only the packet (t, n, c, rank) travels; the root set is session setup
 shared out-of-band, since the receiver holds the factorization and can
 rebuild it.
+
+parse_packet reads the exact line serialize_packet writes with one anchored
+pattern, and every other line with the JSON decoder, which alone tolerates
+whitespace and any field order and reports error positions. On each line the
+pattern accepts, both routes give the same Packet or FieldOutOfRange.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from collections import namedtuple
 
 from . import roots, transform
@@ -19,6 +25,10 @@ PACKET_FIELDS = ("t", "n", "c", "rank")
 MAX_LINE = 256  # a canonical packet is at most about 50 characters
 # Objects decode to tuples of pairs, so duplicate fields stay visible; built once, not per call.
 _DECODER = json.JSONDecoder(object_pairs_hook=tuple)
+# serialize_packet's own line. ASCII digits without leading zeros, as JSON has them:
+# \d would also take digits that int() reads and JSON refuses.
+_CANONICAL = re.compile(r'\{"t":(0|[1-9][0-9]*),"n":(0|[1-9][0-9]*),'
+                        r'"c":(0|[1-9][0-9]*),"rank":(0|[1-9][0-9]*)\}\n?')
 _FIELD_SET = frozenset(PACKET_FIELDS)
 
 
@@ -46,9 +56,14 @@ def parse_packet(line: str | bytes) -> Packet:
     Structural problems, over-long lines and duplicate fields among them,
     raise MalformedPacket (with the offending position when available);
     integer fields outside their domain raise FieldOutOfRange.
+
+    A str that is exactly serialize_packet's line skips the JSON decoder;
+    it gets the Packet or the FieldOutOfRange the decoder route would give.
     """
     if len(line) > MAX_LINE:
         raise MalformedPacket(f"packet longer than {MAX_LINE} characters")
+    if type(line) is str and (mo := _CANONICAL.fullmatch(line)):
+        return validate_packet_fields(int(mo[1]), int(mo[2]), int(mo[3]), int(mo[4]))
     try:
         pairs = _DECODER.decode(line.decode("utf-8") if isinstance(line, bytes) else line)
     except json.JSONDecodeError as exc:

@@ -30,10 +30,11 @@ from powmap import (
 )
 from powmap.cli import main
 from powmap.modnum import FACTOR_BOUND, T_BOUND, nth_root_mod_prime
-from powmap.protocol import PACKET_FIELDS
+from powmap.protocol import MAX_LINE, PACKET_FIELDS
 
 import corners
 import reference
+from test_protocol import json_route_outcome, parse_outcome
 
 settings.register_profile("powmap", derandomize=True, database=None, deadline=None,
                           max_examples=200)
@@ -52,6 +53,24 @@ json_values = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
                         st.text(max_size=8), st.lists(st.integers(), max_size=3))
 packet_like = st.dictionaries(st.sampled_from(PACKET_FIELDS + ("x",)), json_values).map(json.dumps)
 
+# Four fields of up to 57 characters each keep serialize_packet's line within MAX_LINE.
+wide_ints = st.integers(-(10**56) + 1, 10**56 - 1)
+edit_chars = st.sampled_from('0123456789-+_.eE \r\n{}":,\u0663\uff15') | st.characters()
+
+
+@st.composite
+def near_canonical_lines(draw):
+    """serialize_packet's line for any four integers, maybe with one character
+    deleted, inserted or replaced: lines on both sides of parse_packet's fast route."""
+    line = serialize_packet(draw(packets() | st.builds(Packet, wide_ints, wide_ints, wide_ints,
+                                                         wide_ints)))
+    edit = draw(st.sampled_from(("none", "delete", "insert", "replace")))
+    if edit != "none":
+        i = draw(st.integers(0, len(line) - (edit != "insert")))
+        line = line[:i] + ("" if edit == "delete" else draw(edit_chars)) + line[i + (edit != "insert"):]
+    assert len(line) <= MAX_LINE
+    return line
+
 
 @given(packets())
 def test_packet_round_trip(pkt):
@@ -66,7 +85,13 @@ def test_serialize_is_compact_json(pkt):
     assert serialize_packet(pkt) == json.dumps(fields, separators=(",", ":")) + "\n"
 
 
-@given(st.one_of(st.text(), st.binary(), packet_like, packet_like.map(str.encode)))
+@given(near_canonical_lines())
+def test_canonical_route_agrees_with_json_route(line):
+    assert parse_outcome(line) == json_route_outcome(line)
+
+
+@given(st.one_of(st.text(), st.binary(), packet_like, packet_like.map(str.encode),
+                 near_canonical_lines(), near_canonical_lines().map(str.encode)))
 def test_parse_raises_only_powmap_errors(line):
     try:
         parse_packet(line)

@@ -1,15 +1,19 @@
+import re
+from unittest import mock
+
 import pytest
 
 from powmap import (
     FieldOutOfRange,
     MalformedPacket,
     Packet,
+    PowmapError,
     make_params,
     parse_packet,
     run_session,
     serialize_packet,
 )
-from powmap import transform
+from powmap import protocol, transform
 
 from worked_examples import (
     CANDIDATES_2_MOD_43,
@@ -117,6 +121,74 @@ class TestParsePacket:
         # modulus session would later reject it as out of range.
         pkt = parse_packet('{"t":5,"n":61,"c":11,"rank":25}')
         assert pkt.rank == 25
+
+
+CORNER_PACKETS = [Packet(2, 3, 0, 1), Packet(2, 3, 2, 4), Packet(12, 2**32 - 1, 0, 1),
+                  Packet(12, 2**32 - 1, 2**32 - 2, 144)]
+OUT_OF_RANGE_PACKETS = [Packet(5, 61, 11, 0), Packet(13, 61, 11, 1), Packet(5, 2**32, 11, 1),
+                        Packet(5, 61, 61, 1)]
+LINE = '{"t":5,"n":61,"c":11,"rank":3}'
+
+
+def _with_field(i, text):
+    fields = ["5", "61", "11", "3"]
+    fields[i] = text
+    return '{"t":%s,"n":%s,"c":%s,"rank":%s}' % tuple(fields)
+
+
+# Lines at or next to serialize_packet's own, where the two routes of parse_packet meet.
+NEAR_CANONICAL = [
+    *(serialize_packet(pkt) for pkt in CORNER_PACKETS + OUT_OF_RANGE_PACKETS),
+    *(serialize_packet(pkt).rstrip("\n") for pkt in CORNER_PACKETS + OUT_OF_RANGE_PACKETS),
+    # Number forms that int() reads and JSON refuses, or reads differently: leading
+    # zeros, signs, underscores, Arabic-Indic and fullwidth digits.
+    *(_with_field(i, form)
+      for form in ("0", "05", "-5", "-0", "+5", "1_0", "\u0663", "\uff15", "1\u0663", "1\uff15")
+      for i in range(4)),
+    LINE + "\r\n", LINE + "\n\n", LINE + " ", " " + LINE, LINE + "\n ",
+    '{"rank":3,"c":11,"n":61,"t":5}',
+    '{"t":5,"t":5,"n":61,"c":11,"rank":3}',
+    '{"\\u0074":5,"n":61,"c":11,"rank":3}',  # JSON's escape for the key "t"
+    LINE.encode(),
+    (LINE + "\n").encode(),
+]
+
+
+def parse_outcome(line):
+    """parse_packet's Packet, or the class and message of the PowmapError it raised."""
+    try:
+        return parse_packet(line)
+    except PowmapError as exc:
+        return type(exc), str(exc)
+
+
+def json_route_outcome(line):
+    """parse_outcome with the canonical-line route switched off."""
+    with mock.patch.object(protocol, "_CANONICAL", re.compile("(?!)")):
+        return parse_outcome(line)
+
+
+class _NoDecoder:
+    def decode(self, line):
+        raise AssertionError(f"JSON decoder called on {line!r}")
+
+
+class TestCanonicalRoute:
+    @pytest.mark.parametrize("line", NEAR_CANONICAL)
+    def test_same_outcome_as_json_route(self, line):
+        assert parse_outcome(line) == json_route_outcome(line)
+
+    @pytest.mark.parametrize("pkt", CORNER_PACKETS)
+    def test_own_lines_skip_the_json_decoder(self, pkt, monkeypatch):
+        monkeypatch.setattr(protocol, "_DECODER", _NoDecoder())
+        assert parse_packet(serialize_packet(pkt)) == pkt
+        assert parse_packet(serialize_packet(pkt).rstrip("\n")) == pkt
+
+    def test_sessions_skip_the_json_decoder(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_DECODER", _NoDecoder())
+        for key, m in (((5, 61), 28), ((5, 11, 17), 3), ((6, 43), 2),
+                       ((5, 31, 11), 51), ((6, 31, 13), 59), ((5, 43), 17)):
+            assert run_session(make_params(*key), m).matched, key
 
 
 def _steps(pairs):
