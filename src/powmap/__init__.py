@@ -11,6 +11,7 @@ format, and the cyclic-group decomposition of the root set.  The kernel
 from .errors import (
     FieldOutOfRange,
     IneligibleGenerator,
+    InvalidArgument,
     InvalidPrime,
     MalformedPacket,
     NoSolution,
@@ -54,6 +55,7 @@ __all__ = [
     "FieldOutOfRange",
     "GroupPartition",
     "IneligibleGenerator",
+    "InvalidArgument",
     "InvalidPrime",
     "MalformedPacket",
     "NoSolution",

@@ -5,7 +5,8 @@ Each subcommand computes its records once and returns them as a pair
 ``main`` alone reads ``--format`` and consumes only the iterable it
 prints, one per line, so ``table``, which grows with p, builds only one
 rendering.  Numbers print in decimal.  Exit codes: 0 on success, 2 on
-usage errors, 1 on domain errors with the error name on stderr.
+usage errors, 1 on domain errors (a PowmapError) with the error name on
+stderr.  Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
             lines = (json.dumps(obj, separators=(",", ":")) for obj in objects)
         for line in lines:
             print(line)
-    except (PowmapError, ValueError) as exc:
+    except PowmapError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0

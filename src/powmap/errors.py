@@ -1,12 +1,17 @@
 """Domain errors shared across the package.
 
-Every failure surfaced to callers (and the CLI) carries one of these names;
-the CLI prints the class name on stderr and exits 1.
+Every refusal raised by this package is a PowmapError, so a refusal carries
+one of these names.  The CLI prints that name on stderr and exits 1; it
+catches nothing else, so any other exception is a bug and keeps its traceback.
 """
 
 
 class PowmapError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+class InvalidArgument(PowmapError, ValueError):
+    """An argument is outside its function's domain; also a ValueError for callers that catch one."""
 
 
 class NotInvertible(PowmapError):

@@ -16,6 +16,7 @@ import math
 from collections import namedtuple
 
 from .errors import (
+    InvalidArgument,
     InvalidPrime,
     NotCoprime,
     NotDivisor,
@@ -31,7 +32,7 @@ T_BOUND = 12
 def invmod(a: int, modulus: int) -> int:
     """The b with a*b ≡ 1 (mod modulus); NotInvertible when gcd(a, modulus) > 1."""
     if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+        raise InvalidArgument(f"modulus must be >= 2, got {modulus}")
     try:
         return pow(a, -1, modulus)
     except ValueError:
@@ -47,9 +48,9 @@ class CrtBasis(namedtuple("CrtBasis", "p q q_inv_mod_p p_inv_mod_q n")):
 
     def __new__(cls, p: int, q: int, q_inv_mod_p: int, p_inv_mod_q: int, n: int) -> "CrtBasis":
         if q * q_inv_mod_p % p != 1 or p * p_inv_mod_q % q != 1:
-            raise ValueError("inconsistent CRT basis")
+            raise InvalidArgument("inconsistent CRT basis")
         if n != p * q:
-            raise ValueError("n must equal p*q")
+            raise InvalidArgument("n must equal p*q")
         return super().__new__(cls, p, q, q_inv_mod_p, p_inv_mod_q, n)
 
     @classmethod
@@ -86,7 +87,7 @@ def sqrtmod(a: int, p: int) -> tuple[int, ...]:
     results are deterministic.
     """
     if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise InvalidArgument(f"p must be an odd prime, got {p}")
     a %= p
     if a == 0:
         return (0,)
@@ -102,9 +103,9 @@ def element_order(a: int, modulus: int, t: int) -> int:
     not a t-th root of unity.
     """
     if not 1 <= t <= T_BOUND:  # before t is factored over the small primes
-        raise ValueError(f"t must be in 1..{T_BOUND}, got {t}")
+        raise InvalidArgument(f"t must be in 1..{T_BOUND}, got {t}")
     if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+        raise InvalidArgument(f"modulus must be >= 2, got {modulus}")
     a %= modulus
     if math.gcd(a, modulus) != 1:
         raise NotCoprime(f"gcd({a}, {modulus}) > 1")
@@ -185,7 +186,7 @@ def factor_semiprime(n: int) -> tuple[int, int | None]:
     multiplicity, or n >= 2**32.
     """
     if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
+        raise InvalidArgument(f"n must be >= 2, got {n}")
     if is_prime(n):  # NotSupported for n >= 2**32
         return (n, None)
     small = math.gcd(n, _SMALL_PRODUCT)
@@ -308,7 +309,7 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
     prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p.
     """
     if not 1 <= t <= T_BOUND:
-        raise ValueError(f"t must be in 1..{T_BOUND}, got {t}")
+        raise InvalidArgument(f"t must be in 1..{T_BOUND}, got {t}")
     x = _any_root(c, t, p)
     if not x:  # None, or 0 for c ≡ 0
         return x

@@ -10,7 +10,7 @@ import math
 from collections import namedtuple
 
 from . import modnum
-from .errors import InvalidPrime
+from .errors import InvalidArgument, InvalidPrime
 
 
 class RootSet(namedtuple("RootSet", "modulus t roots orders")):
@@ -36,9 +36,9 @@ def _with_orders(modulus: int, t: int, values) -> RootSet:
 def roots_bruteforce(t: int, modulus: int) -> RootSet:
     """Every x in [1, modulus) with x**t ≡ 1, by full scan."""
     if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+        raise InvalidArgument(f"modulus must be >= 2, got {modulus}")
     if not 1 <= t <= modnum.T_BOUND:
-        raise ValueError(f"t must be in 1..{modnum.T_BOUND}, got {t}")
+        raise InvalidArgument(f"t must be in 1..{modnum.T_BOUND}, got {t}")
     return _with_orders(modulus, t, [x for x in range(1, modulus) if pow(x, t, modulus) == 1])
 
 
@@ -51,7 +51,7 @@ def quintic_roots_prime(p: int) -> RootSet:
     (4ζ + 1 - s)**2 ≡ -2(5+s) and (4ζ² + 1 + s)**2 ≡ -2(5-s).
     """
     if p % 5 != 1:
-        raise ValueError(f"p must be a prime ≡ 1 (mod 5), got {p}")
+        raise InvalidArgument(f"p must be a prime ≡ 1 (mod 5), got {p}")
     s = modnum.sqrtmod(5, p)[0]  # InvalidPrime for a composite p, from the kernel
     inv4 = modnum.invmod(4, p)
     vals = {1, *((-1 + s + u) * inv4 % p for u in modnum.sqrtmod(-2 * (5 + s), p)),
@@ -67,7 +67,7 @@ def sextic_roots_prime(p: int) -> RootSet:
     primitive cube roots of unity ω and ω², whose square roots are ±ω², ±ω.
     """
     if p % 6 != 1:
-        raise ValueError(f"p must be a prime ≡ 1 (mod 6), got {p}")
+        raise InvalidArgument(f"p must be a prime ≡ 1 (mod 6), got {p}")
     r = modnum.sqrtmod(p - 3, p)[0]  # InvalidPrime for a composite p, from the kernel
     inv2 = modnum.invmod(2, p)
     vals = {1, p - 1, *modnum.sqrtmod((-1 + r) * inv2 % p, p),
@@ -82,7 +82,7 @@ def lift_roots(rs_p: RootSet, rs_q: RootSet) -> RootSet:
     is not ≡ 1 (mod t) contributes only the root 1 and the count stays t.
     """
     if rs_p.t != rs_q.t:
-        raise ValueError(f"exponents differ: {rs_p.t} vs {rs_q.t}")
+        raise InvalidArgument(f"exponents differ: {rs_p.t} vs {rs_q.t}")
     basis = modnum.CrtBasis.for_primes(rs_p.modulus, rs_q.modulus)  # checks the pair
     return _crt_join(rs_p.t, basis.p, basis.q, rs_p.orders, rs_q.orders)
 
@@ -103,7 +103,7 @@ def eligible_generators(rs: RootSet) -> list[int]:
 def root_set(t: int, p: int, q: int | None = None) -> RootSet:
     """The full root set for x**t ≡ 1 mod the prime p (or mod p*q for a prime q)."""
     if not 1 <= t <= modnum.T_BOUND:
-        raise ValueError(f"t must be in 1..{modnum.T_BOUND}, got {t}")
+        raise InvalidArgument(f"t must be in 1..{modnum.T_BOUND}, got {t}")
     if q is None:
         return _from_orders(p, t, modnum._unity(t, p)[1])  # which checks p
     if p == q:

@@ -15,6 +15,7 @@ from enum import Enum
 from . import modnum
 from .errors import (
     IneligibleGenerator,
+    InvalidArgument,
     InvalidPrime,
     MalformedPacket,
     NoSolution,
@@ -55,11 +56,11 @@ def make_params(t: int, p: int, q: int | None = None) -> Params:
     """Classify (t, p[, q]): computes n, phi and the divisibility class.
 
     Succeeds even when t does not divide phi, so callers get a diagnostic
-    rather than an error.  Outside the contract: ValueError for t outside
+    rather than an error.  Outside the contract: InvalidArgument for t outside
     2..12, NotSupported for n >= 2**32.
     """
     if not 2 <= t <= modnum.T_BOUND:
-        raise ValueError(f"t must be in 2..{modnum.T_BOUND}, got {t}")
+        raise InvalidArgument(f"t must be in 2..{modnum.T_BOUND}, got {t}")
     if q is not None and p == q:
         raise InvalidPrime("p and q must differ")
     n = p if q is None else p * q
@@ -81,7 +82,7 @@ def make_params(t: int, p: int, q: int | None = None) -> Params:
 def encrypt(m: int, params: Params) -> int:
     """c = m**t mod n.  NotCoprime, as in encode, when m is not a unit."""
     if not 1 <= m < params.n:
-        raise ValueError(f"m must be in 1..{params.n - 1}, got {m}")
+        raise InvalidArgument(f"m must be in 1..{params.n - 1}, got {m}")
     if math.gcd(m, params.n) != 1:
         raise NotCoprime(f"gcd({m}, {params.n}) > 1")
     return pow(m, params.t, params.n)
@@ -156,14 +157,14 @@ def candidate_set(x: int, rs: RootSet) -> list[int]:
 
 def encode(m: int, params: Params, rs: RootSet) -> Packet:
     """Encrypt m and rank it: 1 + the number of its (distinct) candidates below m.
-    ValueError when rs belongs to another exponent or modulus."""
+    InvalidArgument when rs belongs to another exponent or modulus."""
     n = params.n
     if rs.t != params.t or rs.modulus != n:
-        raise ValueError("root set does not match the key")
+        raise InvalidArgument("root set does not match the key")
     if math.gcd(m, n) != 1:
         raise NotCoprime(f"gcd({m}, {n}) > 1")
     if not 1 <= m < n:
-        raise ValueError(f"m must be in 1..{n - 1}, got {m}")
+        raise InvalidArgument(f"m must be in 1..{n - 1}, got {m}")
     rank = 1 + len([r for r in rs.roots if m * r % n < m])
     return Packet(params.t, n, pow(m, params.t, n), rank)
 
@@ -174,13 +175,13 @@ def decode(pkt: Packet, params: Params, rs: RootSet) -> int:
     Any root will do, since all give the same candidate set, so one route
     serves every key: modnum._any_root per prime factor, joined in Garner's
     form, with no per-key CRT state.  A root set of another key is
-    ValueError, a non-unit cipher NotCoprime, a unit with no t-th root
+    InvalidArgument, a non-unit cipher NotCoprime, a unit with no t-th root
     NotResidue.
     """
     if pkt.t != params.t or pkt.n != params.n:
         raise MalformedPacket("packet does not match the session parameters")
     if rs.t != params.t or rs.modulus != params.n:
-        raise ValueError("root set does not match the key")
+        raise InvalidArgument("root set does not match the key")
     if math.gcd(pkt.c, params.n) != 1:
         raise NotCoprime(f"gcd({pkt.c}, {params.n}) > 1: not the cipher of a unit")
     cands = candidate_set(_root_per_prime(pkt.c, params, modnum._any_root), rs)
@@ -197,7 +198,7 @@ def mapping_table(params: Params, alpha: int) -> Iterator[tuple[tuple[int, ...],
     The key is checked on the call; the rows then stream, with no per-residue state.
     """
     if params.q is not None or params.div_class is not DivClass.T_EXACTLY:
-        raise ValueError("mapping table needs a prime modulus with phi divisible by t only")
+        raise InvalidArgument("mapping table needs a prime modulus with phi divisible by t only")
     p, t = params.p, params.t
     if modnum.element_order(alpha, p, t) != t:
         raise IneligibleGenerator(f"{alpha} does not have order {t} mod {p}")

@@ -1,13 +1,16 @@
 """The package's top-level surface: what `powmap` exports, and what it leaves to `powmap.modnum`."""
 
+import ast
+from pathlib import Path
+
 import powmap
 from powmap import modnum
 
 PUBLIC = {
     # errors
-    "FieldOutOfRange", "IneligibleGenerator", "InvalidPrime", "MalformedPacket", "NoSolution",
-    "NotCoprime", "NotDivisor", "NotInvertible", "NotResidue", "NotSupported", "PowmapError",
-    "RankOutOfRange",
+    "FieldOutOfRange", "IneligibleGenerator", "InvalidArgument", "InvalidPrime", "MalformedPacket",
+    "NoSolution", "NotCoprime", "NotDivisor", "NotInvertible", "NotResidue", "NotSupported",
+    "PowmapError", "RankOutOfRange",
     # roots
     "RootSet", "eligible_generators", "lift_roots", "quintic_roots_prime", "root_set",
     "roots_bruteforce", "sextic_roots_prime",
@@ -24,7 +27,7 @@ KERNEL = ("CrtBasis", "crt_pair", "element_order", "factor_semiprime", "invmod",
 
 
 def test_all_is_the_agreed_surface():
-    assert len(powmap.__all__) == len(PUBLIC) == 38
+    assert len(powmap.__all__) == len(PUBLIC) == 39
     assert set(powmap.__all__) == PUBLIC
     for name in PUBLIC:
         getattr(powmap, name)
@@ -44,3 +47,17 @@ def test_formula_failure_is_gone():
 def test_warning_class_is_gone():
     assert not hasattr(powmap, "NotCoprimeWarning")
     assert not hasattr(powmap.errors, "NotCoprimeWarning")
+
+
+def test_every_refusal_is_a_powmap_error():
+    # Refusals raise InvalidArgument, which is also a ValueError for callers that catch that.
+    assert issubclass(powmap.InvalidArgument, powmap.PowmapError)
+    assert issubclass(powmap.InvalidArgument, ValueError)
+    bare = []
+    for path in sorted(Path(powmap.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:  # raise X(...) or raise X
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []

@@ -179,7 +179,16 @@ class TestErrorPaths:
     def test_exponent_beyond_12_refused(self, capsys):
         code, out, err = run_cli(capsys, "params", "--t", "13", "--p", "53")
         assert code == 1 and out == ""
-        assert err == "ValueError: t must be in 2..12, got 13\n"
+        assert err == "InvalidArgument: t must be in 2..12, got 13\n"
+
+    def test_bug_is_not_a_refusal(self, monkeypatch):
+        # Only a PowmapError is a refusal; a bare ValueError from inside is a bug and escapes.
+        def broken(*args):
+            raise ValueError("bug")
+
+        monkeypatch.setattr("powmap.transform.make_params", broken)
+        with pytest.raises(ValueError, match="^bug$"):
+            main(["params", "--t", "5", "--p", "61"])
 
     def test_table_without_generator(self, capsys):
         # 5 does not divide 43-1, so no root has order 5 and there is no default --alpha.
