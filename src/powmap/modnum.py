@@ -213,10 +213,12 @@ def _prime_factors(n: int) -> list[int]:
 def _unity(t: int, p: int) -> tuple[int, dict[int, int]]:
     """(z, {g**k: d/gcd(k, d)}): the t-th roots of unity mod the prime p with their orders.
 
-    d = gcd(t, p-1), and z is the first of 2, 3, ... that is an ell-th power for no
-    prime ell | d, tested on g = z**((p-1)/d) by g**(d/ell) ≢ 1; then g has order d,
-    and z**((p-1)/ell**s) generates the ell-Sylow subgroup.  z = g = 1 when d = 1.
+    Checks t, then p, for every per-prime build.  d = gcd(t, p-1); z is the first of 2, 3, ...
+    that is an ell-th power for no prime ell | d, tested on g = z**((p-1)/d) by g**(d/ell) ≢ 1;
+    then g has order d, and z**((p-1)/ell**s) generates the ell-Sylow subgroup; z = g = 1 if d = 1.
     """
+    if not 1 <= t <= T_BOUND:  # before p, which costs a primality check
+        raise InvalidArgument(f"t must be in 1..{T_BOUND}, got {t}")
     if not is_prime(p):  # before any search; NotSupported for p >= 2**32
         raise InvalidPrime(f"{p} is not prime")
     d = math.gcd(t, p - 1)
@@ -254,7 +256,7 @@ def _root_plan(t: int, p: int) -> tuple:
     on the corner keys and at most about 7.5 KB (t = 12, 2**8*3**5 | p-1), so
     4096 plans at most about 30 MB; one wide-keys round's ~1,075 (t, p) pairs fit.
     """
-    z, unity = _unity(t, p)  # checks p first; the one search of the plan
+    z, unity = _unity(t, p)  # checks t and p first; the one search of the plan
     ells = _prime_factors(t)
     a_part, sylow = 1, []
     for ell in sorted(set(ells)):
@@ -279,13 +281,12 @@ def _root_plan(t: int, p: int) -> tuple:
 def _any_root(c: int, t: int, p: int) -> int | None:
     """Some x with x**t ≡ c (mod the prime p), or None when c has no t-th root.
 
-    From the cached per-key plan (_root_plan): one pow for the part of the
-    group prime to t, and for each Sylow subgroup the Pohlig-Hellman digits
-    of a discrete log, read width digits per lookup in the plan's table of at
-    most 64 entries (Adleman-Manders-Miller; Bernstein 2001).  Which root
-    comes out is whatever the plan gives; t is not range-checked here.
+    From the cached per-key plan (_root_plan), which checks t and p: one pow for the part of
+    the group prime to t, and for each Sylow subgroup the Pohlig-Hellman digits of a discrete
+    log, read width digits per lookup in the plan's table of at most 64 entries
+    (Adleman-Manders-Miller; Bernstein 2001).  Which root comes out is whatever the plan gives.
     """
-    b_exp, sylow, _, _ = _root_plan(t, p)  # checks p before any early return
+    b_exp, sylow, _, _ = _root_plan(t, p)  # checks t and p before any early return
     c %= p
     if c == 0:
         return 0
@@ -308,8 +309,6 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
     x, the one whose (x**(t/l0), x**(t/(l0*l1)), ..., x) is least, for the
     prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p.
     """
-    if not 1 <= t <= T_BOUND:
-        raise InvalidArgument(f"t must be in 1..{T_BOUND}, got {t}")
     x = _any_root(c, t, p)
     if not x:  # None, or 0 for c ≡ 0
         return x

@@ -102,10 +102,8 @@ def eligible_generators(rs: RootSet) -> list[int]:
 
 def root_set(t: int, p: int, q: int | None = None) -> RootSet:
     """The full root set for x**t ≡ 1 mod the prime p (or mod p*q for a prime q)."""
-    if not 1 <= t <= modnum.T_BOUND:
-        raise InvalidArgument(f"t must be in 1..{modnum.T_BOUND}, got {t}")
     if q is None:
-        return _from_orders(p, t, modnum._unity(t, p)[1])  # which checks p
+        return _from_orders(p, t, modnum._unity(t, p)[1])  # which checks t, then p
     if p == q:
         raise InvalidPrime("p and q must differ")
     return _crt_join(t, p, q, modnum._unity(t, p)[1], modnum._unity(t, q)[1])

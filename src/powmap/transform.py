@@ -14,6 +14,7 @@ from enum import Enum
 
 from . import modnum
 from .errors import (
+    FieldOutOfRange,
     IneligibleGenerator,
     InvalidArgument,
     InvalidPrime,
@@ -80,7 +81,7 @@ def make_params(t: int, p: int, q: int | None = None) -> Params:
 
 
 def encrypt(m: int, params: Params) -> int:
-    """c = m**t mod n.  NotCoprime, as in encode, when m is not a unit."""
+    """c = m**t mod n.  InvalidArgument for m outside 1..n-1, then NotCoprime for a non-unit."""
     if not 1 <= m < params.n:
         raise InvalidArgument(f"m must be in 1..{params.n - 1}, got {m}")
     if math.gcd(m, params.n) != 1:
@@ -156,17 +157,14 @@ def candidate_set(x: int, rs: RootSet) -> list[int]:
 
 
 def encode(m: int, params: Params, rs: RootSet) -> Packet:
-    """Encrypt m and rank it: 1 + the number of its (distinct) candidates below m.
-    InvalidArgument when rs belongs to another exponent or modulus."""
+    """encrypt(m, params), which refuses m, with m's rank: 1 + the number of its (distinct)
+    candidates below m.  InvalidArgument first when rs belongs to another exponent or modulus."""
     n = params.n
     if rs.t != params.t or rs.modulus != n:
         raise InvalidArgument("root set does not match the key")
-    if math.gcd(m, n) != 1:
-        raise NotCoprime(f"gcd({m}, {n}) > 1")
-    if not 1 <= m < n:
-        raise InvalidArgument(f"m must be in 1..{n - 1}, got {m}")
+    c = encrypt(m, params)
     rank = 1 + len([r for r in rs.roots if m * r % n < m])
-    return Packet(params.t, n, pow(m, params.t, n), rank)
+    return Packet(params.t, n, c, rank)
 
 
 def decode(pkt: Packet, params: Params, rs: RootSet) -> int:
@@ -175,13 +173,15 @@ def decode(pkt: Packet, params: Params, rs: RootSet) -> int:
     Any root will do, since all give the same candidate set, so one route
     serves every key: modnum._any_root per prime factor, joined in Garner's
     form, with no per-key CRT state.  A root set of another key is
-    InvalidArgument, a non-unit cipher NotCoprime, a unit with no t-th root
-    NotResidue.
+    InvalidArgument, a cipher outside 0..n-1 FieldOutOfRange as on the wire,
+    a non-unit cipher NotCoprime, a unit with no t-th root NotResidue.
     """
     if pkt.t != params.t or pkt.n != params.n:
         raise MalformedPacket("packet does not match the session parameters")
     if rs.t != params.t or rs.modulus != params.n:
         raise InvalidArgument("root set does not match the key")
+    if not 0 <= pkt.c < params.n:
+        raise FieldOutOfRange(f"c={pkt.c} outside 0..n-1")
     if math.gcd(pkt.c, params.n) != 1:
         raise NotCoprime(f"gcd({pkt.c}, {params.n}) > 1: not the cipher of a unit")
     cands = candidate_set(_root_per_prime(pkt.c, params, modnum._any_root), rs)

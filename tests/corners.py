@@ -52,3 +52,19 @@ CLASS_KEYS = (
 FIXED_KEYS = ((4294967291,), (4294967279,), (65497, 65479), (3221225473,), (65537, 40961),
               *((p,) for p in ODD_DEEP_PRIMES),
               *dict.fromkeys((p, q) for _, p, q in CLASS_KEYS if q), (65497, 65521))
+
+# Every single Sylow depth of the contract: SYLOW_DEPTH_PRIMES[ell][s - 1] is the smallest prime
+# p < 2**32 with ell**s || p-1, for each prime ell <= 12 and each s with ell**s < 2**32.  None
+# marks a depth that no prime below 2**32 has; those shapes (ell, s) are EMPTY_SYLOW_SHAPES.
+SYLOW_DEPTH_PRIMES = {
+    2: (3, 5, 41, 17, 97, 193, 641, 257, 7681, 13313, 18433, 12289, 40961, 114689, 163841, 65537,
+        1179649, 786433, 5767169, 7340033, 23068673, 104857601, 377487361, 754974721, 167772161,
+        469762049, 2013265921, 3489660929, None, 3221225473, None),
+    3: (7, 19, 109, 163, 487, 1459, 17497, 52489, 39367, 472393, 4960117, 5314411, 102036673,
+        19131877, 57395629, 86093443, 258280327, 3874204891, None, None),
+    5: (11, 101, 251, 11251, 37501, 62501, 937501, 9375001, 50781251, 175781251, 2050781251, None,
+        2441406251),
+    7: (29, 197, 1373, 14407, 168071, 470597, 3294173, 207532837, 242121643, 1129900997, None),
+    11: (23, 727, 2663, 673487, 966307, 21258733, 1519999339, 1286153287, None),
+}
+EMPTY_SYLOW_SHAPES = ((2, 29), (2, 31), (3, 19), (3, 20), (5, 12), (7, 11), (11, 9))

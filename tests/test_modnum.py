@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -317,6 +318,19 @@ class TestDigitChunks:
                         x = _any_root(c, t, p)
                         assert (x is not None) == (pow(c, (p - 1) // d, p) == 1), (c, t, p)
                         assert x is None or pow(x, t, p) == c, (c, t, p)
+
+    def test_root_found_iff_euler_criterion_holds_at_every_sylow_depth(self):
+        # The smallest prime of each single depth ell**s || p-1 below 2**32, for every t.
+        rng = random.Random(18)
+        for p in filter(None, itertools.chain(*corners.SYLOW_DEPTH_PRIMES.values())):
+            for t in range(2, 13):
+                d = math.gcd(t, p - 1)
+                ciphers = [rng.randrange(1, p) for _ in range(10)]
+                ciphers += [pow(rng.randrange(1, p), t, p) for _ in range(10)]
+                for c in ciphers:
+                    x = _any_root(c, t, p)
+                    assert (x is not None) == (pow(c, (p - 1) // d, p) == 1), (c, t, p)
+                    assert x is None or pow(x, t, p) == c, (c, t, p)
 
 
 class TestFactorSemiprime:

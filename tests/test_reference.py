@@ -6,6 +6,7 @@ or in the Garner join of a semiprime's roots, shows up here.
 """
 
 import ast
+import itertools
 import math
 import random
 import sys
@@ -103,3 +104,24 @@ def test_corner_keys_are_inside_the_contract():
         classes.add((q is None, phi % t == 0, phi % (t * t) == 0))
     assert classes == {(prime, *cls) for prime in (True, False)
                        for cls in ((False, False), (True, False), (True, True))}
+
+
+def test_sylow_depth_primes_are_the_smallest_of_each_depth():
+    # By trial division: the first prime among ell**s * k + 1 < 2**32 with ell ∤ k, and for an
+    # empty shape the proof that every such candidate is composite.
+    small = reference.primes_below(65537)  # every prime up to the square root of 2**32
+
+    def is_prime(f):
+        return all(f % d for d in itertools.takewhile(lambda d: d * d <= f, small))
+
+    empty = []
+    assert sorted(corners.SYLOW_DEPTH_PRIMES) == [2, 3, 5, 7, 11]
+    for ell, primes in corners.SYLOW_DEPTH_PRIMES.items():
+        assert ell ** len(primes) < 2**32 <= ell ** (len(primes) + 1), ell  # every depth s
+        for s, p in enumerate(primes, 1):
+            step = ell**s
+            candidates = (f for f in range(step + 1, 2**32, step) if (f - 1) // step % ell)
+            assert next(filter(is_prime, candidates), None) == p, (ell, s)
+            if p is None:
+                empty.append((ell, s))
+    assert tuple(empty) == corners.EMPTY_SYLOW_SHAPES

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from powmap import (
+    InvalidArgument,
     InvalidPrime,
     NotSupported,
     RootSet,
@@ -14,7 +15,7 @@ from powmap import (
     sextic_roots_prime,
 )
 from powmap import modnum
-from powmap.modnum import element_order
+from powmap.modnum import element_order, nth_root_mod_prime
 
 from reference import primes_below
 from worked_examples import (
@@ -247,3 +248,12 @@ class TestClosedForm:
     def test_bounds(self):
         with pytest.raises(ValueError):
             root_set(13, 61)
+        # modnum._unity checks t for every per-prime build, before p is found composite.
+        for call, t in ((lambda: root_set(13, 21), 13), (lambda: root_set(0, 61), 0),
+                        (lambda: nth_root_mod_prime(2, 13, 21), 13),
+                        (lambda: modnum._root_plan(13, 61), 13)):
+            with pytest.raises(InvalidArgument) as exc:
+                call()
+            assert str(exc.value) == f"t must be in 1..12, got {t}"
+        with pytest.raises(InvalidPrime, match="^p and q must differ$"):  # checked before t
+            root_set(13, 61, 61)

@@ -7,7 +7,9 @@ import pytest
 
 from powmap import (
     DivClass,
+    FieldOutOfRange,
     IneligibleGenerator,
+    InvalidArgument,
     InvalidPrime,
     NoSolution,
     NotCoprime,
@@ -16,6 +18,7 @@ from powmap import (
     NotSupported,
     Packet,
     Params,
+    PowmapError,
     RankOutOfRange,
     RootSet,
     candidate_set,
@@ -80,18 +83,25 @@ class TestEncrypt:
             encrypt(11, make_params(5, 11, 17))
 
     def test_refuses_what_encode_refuses(self):
+        # Every m from -n to 2n: the same cipher, or the same refusal with the same message.
         def outcome(step):
             try:
                 return step()
-            except NotCoprime as exc:
-                return f"NotCoprime: {exc}"
+            except PowmapError as exc:
+                return f"{type(exc).__name__}: {exc}"
 
-        for key in ((5, 11, 17), (6, 13, 31)):
+        for key in ((5, 61), (5, 11, 17), (6, 13, 31)):
             params, rs = make_params(*key), root_set(*key)
-            encrypted = [outcome(lambda: encrypt(m, params)) for m in range(1, params.n)]
-            encoded = [outcome(lambda: encode(m, params, rs).c) for m in range(1, params.n)]
+            n = params.n
+            messages = range(-n, 2 * n + 1)
+            encrypted = [outcome(lambda: encrypt(m, params)) for m in messages]
+            encoded = [outcome(lambda: encode(m, params, rs).c) for m in messages]
             assert encrypted == encoded
-            assert sum(isinstance(c, str) for c in encrypted) == params.n - 1 - params.phi  # non-units
+            refused = [c for m, c in zip(messages, encrypted) if 1 <= m < n and isinstance(c, str)]
+            assert len(refused) == n - 1 - params.phi  # inside 1..n-1, only the non-units
+            assert all(c.startswith("NotCoprime: ") for c in refused)
+            assert encrypted[:n + 1] == [f"InvalidArgument: m must be in 1..{n - 1}, got {m}"
+                                         for m in range(-n, 1)]
 
     def test_range_enforced(self):
         with pytest.raises(ValueError):
@@ -270,7 +280,8 @@ class TestEncodeDecode:
         params, rs = make_params(5, 11, 17), root_set(5, 11, 17)
         with pytest.raises(NotCoprime):
             encode(11, params, rs)
-        with pytest.raises(NotCoprime):
+        # 0 is outside 1..n-1 before it is a non-unit, as encrypt refuses it.
+        with pytest.raises(InvalidArgument, match=r"^m must be in 1\.\.186, got 0$"):
             encode(0, params, rs)
 
     def test_message_range_enforced(self):
@@ -285,6 +296,14 @@ class TestEncodeDecode:
         for c in (0, 13, 13 * 7, 31, 31 * 12):
             with pytest.raises(NotCoprime):
                 decode(Packet(6, 403, c, 1), params, rs)
+
+    def test_cipher_outside_modulus_refused_as_on_the_wire(self):
+        # Both reduce to 11, the cipher of 28, yet parse_packet refuses either line; so does decode.
+        params, rs = make_params(5, 61), root_set(5, 61)
+        for c in (72, -50):
+            with pytest.raises(FieldOutOfRange) as exc:
+                decode(Packet(5, 61, c, 3), params, rs)
+            assert str(exc.value) == f"c={c} outside 0..n-1"
 
     def test_forged_cipher_not_residue(self):
         # In range and a unit, but no message encrypts to it: decode names the refusal.
