@@ -236,7 +236,6 @@ def _unity(t: int, p: int) -> tuple[int, dict[int, int]]:
     return z, orders
 
 
-@functools.lru_cache(maxsize=4096)
 def _root_plan(t: int, p: int) -> tuple:
     """What a t-th root mod the prime p needs that does not depend on the cipher.
 
@@ -252,9 +251,7 @@ def _root_plan(t: int, p: int) -> tuple:
     - unity holds the gcd(t, p-1) t-th roots of unity;
     - exps is t/l0, t/(l0*l1), ..., 1 for the prime factors l0 <= l1 <= ...
       of t.
-    Bounded so a receiver under many keys stays small: a plan takes about 1.4 KB
-    on the corner keys and at most about 7.5 KB (t = 12, 2**8*3**5 | p-1), so
-    4096 plans at most about 30 MB; one wide-keys round's ~1,075 (t, p) pairs fit.
+    Uncached: _key_plan holds the plans of each key's primes.
     """
     z, unity = _unity(t, p)  # checks t and p first; the one search of the plan
     ells = _prime_factors(t)
@@ -278,15 +275,29 @@ def _root_plan(t: int, p: int) -> tuple:
     return b_exp, tuple(sylow), tuple(unity), exps
 
 
-def _any_root(c: int, t: int, p: int) -> int | None:
+@functools.lru_cache(maxsize=2048)
+def _key_plan(t: int, p: int, q: int | None) -> tuple:
+    """(plan_p, plan_q, q_inv): _root_plan of each prime of the key and q**-1 mod p, the last
+    two None for a prime key.  Checks t, p, q, then p != q (NotInvertible).  Built at a key's
+    first root, not at key set-up.  Bounded so a receiver under many keys stays small: a key
+    plan takes about 1.4 KB on the corner keys and on a wide-keys round's 806 keys, which all
+    fit, and at most about 15 KB (t = 12, 2**8*3**5 | p-1 and q-1); 2048 take at most 30 MB.
+    """
+    plan_p = _root_plan(t, p)
+    if q is None:
+        return plan_p, None, None
+    return plan_p, _root_plan(t, q), invmod(q, p)
+
+
+def _any_root(c: int, t: int, p: int, plan: tuple) -> int | None:
     """Some x with x**t ≡ c (mod the prime p), or None when c has no t-th root.
 
-    From the cached per-key plan (_root_plan), which checks t and p: one pow for the part of
-    the group prime to t, and for each Sylow subgroup the Pohlig-Hellman digits of a discrete
-    log, read width digits per lookup in the plan's table of at most 64 entries
-    (Adleman-Manders-Miller; Bernstein 2001).  Which root comes out is whatever the plan gives.
+    From p's plan (_root_plan(t, p), read from _key_plan): one pow for the part of the group
+    prime to t, and for each Sylow subgroup the Pohlig-Hellman digits of a discrete log, read
+    width digits per lookup in the plan's table of at most 64 entries (Adleman-Manders-Miller;
+    Bernstein 2001).  Which root comes out is whatever the plan gives.
     """
-    b_exp, sylow, _, _ = _root_plan(t, p)  # checks t and p before any early return
+    b_exp, sylow, _, _ = plan
     c %= p
     if c == 0:
         return 0
@@ -302,6 +313,15 @@ def _any_root(c: int, t: int, p: int) -> int | None:
     return x if pow(x, t, p) == c else None
 
 
+def _canonical_root(c: int, t: int, p: int, plan: tuple) -> int | None:
+    """nth_root_mod_prime's root, from p's plan as _any_root takes it."""
+    x = _any_root(c, t, p, plan)
+    if not x:  # None, or 0 for c ≡ 0
+        return x
+    _, _, unity, exps = plan
+    return min((x * w % p for w in unity), key=lambda r: [pow(r, e, p) for e in exps])
+
+
 def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
     """The canonical x with x**t ≡ c (mod p) for prime p and 1 <= t <= 12, or None.
 
@@ -309,8 +329,4 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
     x, the one whose (x**(t/l0), x**(t/(l0*l1)), ..., x) is least, for the
     prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p.
     """
-    x = _any_root(c, t, p)
-    if not x:  # None, or 0 for c ≡ 0
-        return x
-    _, _, unity, exps = _root_plan(t, p)
-    return min((x * w % p for w in unity), key=lambda r: [pow(r, e, p) for e in exps])
+    return _canonical_root(c, t, p, _key_plan(t, p, None)[0])

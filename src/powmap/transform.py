@@ -113,8 +113,8 @@ def extract_root(c: int, params: Params) -> int:
     """One r with r**t ≡ c (mod n), the root the paper and the session show.
 
     Where inverse_exponent succeeds on phi(n), r = c**res, the paper's
-    route.  Every other key: the canonical t-th root mod each prime factor
-    from modnum.nth_root_mod_prime, joined in Garner's form for a semiprime.
+    route.  Every other key: the canonical t-th root mod each prime factor,
+    as modnum.nth_root_mod_prime gives it, joined in Garner's form for a semiprime.
     NotResidue when c has no t-th root.
     """
     t, n = params.t, params.n
@@ -122,7 +122,7 @@ def extract_root(c: int, params: Params) -> int:
     try:
         _, res = inverse_exponent(t, params.phi)
     except NoSolution:
-        return _root_per_prime(c, params, modnum.nth_root_mod_prime)
+        return _root_per_prime(c, params, modnum._canonical_root)
     r = pow(c, res, n)
     if pow(r, t, n) != c:
         raise NotResidue(f"extracted {r}, but {r}**{t} ≢ {c} (mod {n})")
@@ -130,18 +130,20 @@ def extract_root(c: int, params: Params) -> int:
 
 
 def _root_per_prime(c: int, params: Params, root_mod_prime) -> int:
-    """A t-th root of c mod n: root_mod_prime(c % f, t, f) per prime factor f, joined in
-    Garner's form for a semiprime.  NotResidue where one has none; NotInvertible if p == q."""
+    """A t-th root of c mod n: root_mod_prime(c % f, t, f, plan of f) per prime factor f from one
+    modnum._key_plan lookup, joined in Garner's form with its q**-1 mod p for a semiprime.  The
+    key plan refuses a bad key (NotInvertible if p == q); then NotResidue where one has none."""
     t, p, q = params.t, params.p, params.q
-    r_p = root_mod_prime(c % p, t, p)  # checked there: r_p**t ≡ c (mod p)
+    plan_p, plan_q, q_inv = modnum._key_plan(t, p, q)
+    r_p = root_mod_prime(c % p, t, p, plan_p)  # checked there: r_p**t ≡ c (mod p)
     if r_p is None:
         raise NotResidue(f"{c} has no {t}-th root mod {p}")
     if q is None:
         return r_p
-    r_q = root_mod_prime(c % q, t, q)
+    r_q = root_mod_prime(c % q, t, q, plan_q)
     if r_q is None:
         raise NotResidue(f"{c} has no {t}-th root mod {q}")
-    return modnum._garner(r_p, r_q, p, q, modnum.invmod(q, p))
+    return modnum._garner(r_p, r_q, p, q, q_inv)
 
 
 def candidate_set(x: int, rs: RootSet) -> list[int]:
@@ -172,22 +174,24 @@ def decode(pkt: Packet, params: Params, rs: RootSet) -> int:
 
     Any root will do, since all give the same candidate set, so one route
     serves every key: modnum._any_root per prime factor, joined in Garner's
-    form, with no per-key CRT state.  A root set of another key is
+    form, from the key's cached plan (modnum._key_plan), which holds both
+    primes' root plans and q**-1 mod p.  A root set of another key is
     InvalidArgument, a cipher outside 0..n-1 FieldOutOfRange as on the wire,
     a non-unit cipher NotCoprime, a unit with no t-th root NotResidue.
     """
-    if pkt.t != params.t or pkt.n != params.n:
+    t, n, c, rank = pkt
+    if t != params.t or n != params.n:
         raise MalformedPacket("packet does not match the session parameters")
-    if rs.t != params.t or rs.modulus != params.n:
+    if rs.t != t or rs.modulus != n:
         raise InvalidArgument("root set does not match the key")
-    if not 0 <= pkt.c < params.n:
-        raise FieldOutOfRange(f"c={pkt.c} outside 0..n-1")
-    if math.gcd(pkt.c, params.n) != 1:
-        raise NotCoprime(f"gcd({pkt.c}, {params.n}) > 1: not the cipher of a unit")
-    cands = candidate_set(_root_per_prime(pkt.c, params, modnum._any_root), rs)
-    if not 1 <= pkt.rank <= len(cands):
-        raise RankOutOfRange(f"rank {pkt.rank} outside 1..{len(cands)}")
-    return cands[pkt.rank - 1]
+    if not 0 <= c < n:
+        raise FieldOutOfRange(f"c={c} outside 0..n-1")
+    if math.gcd(c, n) != 1:
+        raise NotCoprime(f"gcd({c}, {n}) > 1: not the cipher of a unit")
+    cands = candidate_set(_root_per_prime(c, params, modnum._any_root), rs)
+    if not 1 <= rank <= len(cands):
+        raise RankOutOfRange(f"rank {rank} outside 1..{len(cands)}")
+    return cands[rank - 1]
 
 
 def mapping_table(params: Params, alpha: int) -> Iterator[tuple[tuple[int, ...], int]]:

@@ -14,10 +14,10 @@ does not collect it.  Named key groups are from ``corners.py``.
 - ``root_set``: every ``t = 1..12`` over prime keys (primes below 400, large
   primes, composites) and ordered semiprime pairs; the ``repr`` shows
   ``roots`` and ``orders.items()`` in their stored order.
-- ``_root_plan``: the cached per-key plan of ``modnum``, ``t = 1..12`` over
-  primes below 700, large primes, and primes with deep 2-, 3-, 5-, 7- and
-  11-Sylow subgroups, so that every width of the plan's digit tables is
-  pinned.
+- ``_root_plan``: the per-prime root plan of ``modnum``, which ``_key_plan``
+  caches for each prime of a key, ``t = 1..12`` over primes below 700, large
+  primes, and primes with deep 2-, 3-, 5-, 7- and 11-Sylow subgroups, so
+  that every width of the plan's digit tables is pinned.
 - ``roots``: ``nth_root_mod_prime`` and ``sqrtmod`` over every residue of
   each odd prime below 700, ``nth_root_mod_prime`` on seeded ciphers at
   large primes and at primes with deep 2-, 3-, 5-, 7- and 11-Sylow

@@ -98,10 +98,11 @@ class TestCrt:
     def test_basis_not_cached_and_errors_repeat(self):
         from powmap import InvalidPrime
 
-        # The per-key root plan is the kernel's only cache; decode needs no basis.
+        # The key plan is the kernel's only cache; decode needs no basis.
         assert isinstance(vars(CrtBasis)["for_primes"], classmethod)
         assert not hasattr(vars(CrtBasis)["for_primes"].__func__, "cache_info")
-        assert hasattr(modnum._root_plan, "cache_info")
+        assert hasattr(modnum._key_plan, "cache_info")
+        assert not hasattr(modnum._root_plan, "cache_info")
         assert CrtBasis.for_primes(31, 13) == CrtBasis.for_primes(31, 13)
         for _ in range(2):
             with pytest.raises(InvalidPrime):
@@ -265,13 +266,16 @@ class TestUnityGenerator:
             return unity(t, p)
 
         monkeypatch.setattr(modnum, "_unity", counted)
-        modnum._root_plan.cache_clear()
+        modnum._key_plan.cache_clear()
         try:
             # 4294964520 = 2**3 * 3**3 * 5 * 7 * 11 * 51647: deep 2- and 3-Sylow subgroups.
-            assert len(modnum._root_plan(12, 4294964521)[1]) == 2
+            assert len(modnum._key_plan(12, 4294964521, None)[0][1]) == 2
+            plan_p, plan_q, q_inv = modnum._key_plan(12, 65537, 40961)
+            assert (len(plan_p[1]), len(plan_q[1]), 40961 * q_inv % 65537) == (1, 1, 1)
+            modnum._key_plan(12, 65537, 40961)  # the second lookup builds nothing
         finally:
-            modnum._root_plan.cache_clear()
-        assert calls == [(12, 4294964521)]
+            modnum._key_plan.cache_clear()
+        assert calls == [(12, 4294964521), (12, 65537), (12, 40961)]
 
 
 class TestDigitChunks:
@@ -311,26 +315,35 @@ class TestDigitChunks:
             assert set(found) == set().union(*(self._chunk_cases(s, w) for s in range(2, 4 * w)))
             for p in set(found.values()):
                 for t in range(ell, 13, ell):
-                    d = math.gcd(t, p - 1)
+                    d, plan = math.gcd(t, p - 1), modnum._key_plan(t, p, None)[0]
                     ciphers = [rng.randrange(1, p) for _ in range(40)]
                     ciphers += [pow(rng.randrange(1, p), t, p) for _ in range(40)]
                     for c in ciphers:
-                        x = _any_root(c, t, p)
+                        x = _any_root(c, t, p, plan)
                         assert (x is not None) == (pow(c, (p - 1) // d, p) == 1), (c, t, p)
                         assert x is None or pow(x, t, p) == c, (c, t, p)
 
     def test_root_found_iff_euler_criterion_holds_at_every_sylow_depth(self):
-        # The smallest prime of each single depth ell**s || p-1 below 2**32, for every t.
+        # The smallest prime of each single depth ell**s || p-1 below 2**32, and of each joint
+        # depth (2**s2, ell**s) || p-1 for ell = 3, 5, for every t, through the key plan.  At
+        # t = 6, 10 and 12 a joint-shape plan holds two Sylow entries once s2 and s exceed k.
         rng = random.Random(18)
-        for p in filter(None, itertools.chain(*corners.SYLOW_DEPTH_PRIMES.values())):
+        joint = itertools.chain.from_iterable(itertools.chain(*corners.JOINT_DEPTH_PRIMES.values()))
+        primes = dict.fromkeys(itertools.chain(*corners.SYLOW_DEPTH_PRIMES.values(), joint))
+        assert len(primes) == 412  # 411 primes and None
+        two_entries = set()
+        for p in filter(None, primes):
             for t in range(2, 13):
-                d = math.gcd(t, p - 1)
+                d, plan = math.gcd(t, p - 1), modnum._key_plan(t, p, None)[0]
+                if len(plan[1]) == 2:
+                    two_entries.add(t)
                 ciphers = [rng.randrange(1, p) for _ in range(10)]
                 ciphers += [pow(rng.randrange(1, p), t, p) for _ in range(10)]
                 for c in ciphers:
-                    x = _any_root(c, t, p)
+                    x = _any_root(c, t, p, plan)
                     assert (x is not None) == (pow(c, (p - 1) // d, p) == 1), (c, t, p)
                     assert x is None or pow(x, t, p) == c, (c, t, p)
+        assert two_entries == {6, 10, 12}
 
 
 class TestFactorSemiprime:

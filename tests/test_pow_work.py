@@ -26,12 +26,14 @@ SETUP_K = 52
 
 
 def _counted(monkeypatch, fn, *args):
-    """(fn(*args), (pow calls, exponent bits)) over the pows fn makes in modnum and transform."""
-    tally = [0, 0]
+    """(fn(*args), (pow calls, exponent bits, inverses)) over the pows fn makes in modnum and
+    transform; an inverse is a pow with a negative exponent."""
+    tally = [0, 0, 0]
 
     def counting_pow(base, exp, *mod):
         tally[0] += 1
         tally[1] += abs(exp).bit_length()
+        tally[2] += exp < 0
         return builtins.pow(base, exp, *mod)
 
     with monkeypatch.context() as mp:
@@ -42,18 +44,18 @@ def _counted(monkeypatch, fn, *args):
 
 
 def _set_up(t, factors):
-    """A receiver's key set-up: the checked key, its root set and one root plan per prime."""
+    """A receiver's key set-up: the checked key, its root set and its key plan, which holds one
+    root plan per prime and, for a semiprime, the one q**-1 mod p of the Garner join."""
     params, rs = make_params(t, *factors), root_set(t, *factors)
-    for f in factors:
-        modnum._root_plan(t, f)
+    modnum._key_plan(params.t, params.p, params.q)
     return params, rs
 
 
 def _work(monkeypatch):
-    """[(t, n, set-up counts, decode counts)] over KEYS, each decode with its plans cached."""
+    """[(t, n, set-up counts, decode counts)] over KEYS, each decode with its key plan cached."""
     work = []
     for t, factors in KEYS:
-        modnum._root_plan.cache_clear()
+        modnum._key_plan.cache_clear()
         (params, rs), setup = _counted(monkeypatch, _set_up, t, factors)
         m = random.Random(params.n).randrange(2, params.n)
         pkt = encode(m, params, rs)
@@ -71,10 +73,18 @@ def test_counts_repeat_exactly(monkeypatch):
 
 
 def test_one_decode_spends_at_most_k_bits_per_bit_of_n(monkeypatch):
-    for t, n, _, (calls, bits) in _work(monkeypatch):
+    for t, n, _, (calls, bits, _) in _work(monkeypatch):
         assert bits <= DECODE_K * math.log2(n), (t, n, calls, bits)
 
 
 def test_key_set_up_spends_at_most_k_bits_per_bit_of_n(monkeypatch):
-    for t, n, (calls, bits), _ in _work(monkeypatch):
+    for t, n, (calls, bits, _), _ in _work(monkeypatch):
         assert bits <= SETUP_K * math.log2(n), (t, n, calls, bits)
+
+
+def test_a_decode_with_a_warm_key_plan_inverts_nothing(monkeypatch):
+    # Every inverse a key needs, q**-1 mod p among them, is in its key plan; set-up takes
+    # them, which also shows that the counter sees inverses.
+    work = _work(monkeypatch)
+    assert all(decoding[2] == 0 for _, _, _, decoding in work)
+    assert all(setup[2] > 0 for _, _, setup, _ in work)

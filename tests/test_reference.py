@@ -20,6 +20,7 @@ from powmap import NotResidue, Packet, decode, encode, make_params, root_set
 
 BOUND = 400  # every prime and semiprime key below it, for every t = 2..12 (about 5 s)
 CHECKED = 409288  # (key, message) pairs in that sweep
+SMALL = reference.primes_below(65537)  # every prime up to the square root of 2**32
 
 
 def _small_keys():
@@ -81,10 +82,8 @@ def test_oracle_modules_import_only_the_standard_library(name):
 
 
 def test_corner_keys_are_inside_the_contract():
-    small = reference.primes_below(65537)  # every prime up to the square root of 2**32
-
     def odd_prime(f):
-        return f > 2 and all(f % d for d in small if d * d <= f)
+        return f > 2 and all(f % d for d in SMALL if d * d <= f)
 
     primes = (*corners.LARGE_PRIMES, *corners.DEEP_PRIMES, *corners.ODD_DEEP_PRIMES,
               *corners.ROOT_CHOICE_PRIMES)
@@ -106,22 +105,35 @@ def test_corner_keys_are_inside_the_contract():
                        for cls in ((False, False), (True, False), (True, True))}
 
 
-def test_sylow_depth_primes_are_the_smallest_of_each_depth():
-    # By trial division: the first prime among ell**s * k + 1 < 2**32 with ell ∤ k, and for an
-    # empty shape the proof that every such candidate is composite.
-    small = reference.primes_below(65537)  # every prime up to the square root of 2**32
-
+def _smallest_prime_of_shape(step, ells):
+    """The first prime among step * k + 1 < 2**32 with no ell of ells dividing k, or None, by
+    trial division; for None, the proof that every such candidate is composite."""
     def is_prime(f):
-        return all(f % d for d in itertools.takewhile(lambda d: d * d <= f, small))
+        return all(f % d for d in itertools.takewhile(lambda d: d * d <= f, SMALL))
 
+    candidates = (f for f in range(step + 1, 2**32, step) if all((f - 1) // step % ell for ell in ells))
+    return next(filter(is_prime, candidates), None)
+
+
+def test_sylow_depth_primes_are_the_smallest_of_each_depth():
     empty = []
     assert sorted(corners.SYLOW_DEPTH_PRIMES) == [2, 3, 5, 7, 11]
     for ell, primes in corners.SYLOW_DEPTH_PRIMES.items():
         assert ell ** len(primes) < 2**32 <= ell ** (len(primes) + 1), ell  # every depth s
         for s, p in enumerate(primes, 1):
-            step = ell**s
-            candidates = (f for f in range(step + 1, 2**32, step) if (f - 1) // step % ell)
-            assert next(filter(is_prime, candidates), None) == p, (ell, s)
+            assert _smallest_prime_of_shape(ell**s, (ell,)) == p, (ell, s)
             if p is None:
                 empty.append((ell, s))
     assert tuple(empty) == corners.EMPTY_SYLOW_SHAPES
+
+
+def test_joint_depth_primes_are_the_smallest_of_each_joint_shape():
+    assert sorted(corners.JOINT_DEPTH_PRIMES) == [3, 5]
+    for ell, rows in corners.JOINT_DEPTH_PRIMES.items():
+        assert 2 ** len(rows) * ell < 2**32 <= 2 ** (len(rows) + 1) * ell, ell  # every depth s2
+        for s2, primes in enumerate(rows, 1):
+            assert 2**s2 * ell ** len(primes) < 2**32 <= 2**s2 * ell ** (len(primes) + 1), (ell, s2)
+            for s, p in enumerate(primes, 1):
+                assert _smallest_prime_of_shape(2**s2 * ell**s, (2, ell)) == p, (ell, s2, s)
+    empty = [sum(p is None for primes in rows for p in primes) for rows in corners.JOINT_DEPTH_PRIMES.values()]
+    assert empty == [64, 43]

@@ -229,11 +229,11 @@ class TestClosedForm:
 
         monkeypatch.setattr(modnum, "_prime_factors", refuse)
         for call in (lambda: root_set(4, 21), lambda: root_set(4, 21, 13),
-                     lambda: modnum._root_plan(4, 21)):
+                     lambda: modnum._root_plan(4, 21), lambda: modnum._key_plan(4, 21, 13)):
             with pytest.raises(InvalidPrime, match="21 is not prime"):
                 call()
         for call in (lambda: root_set(5, 2**32 + 15), lambda: root_set(5, 2**32 + 15, 11),
-                     lambda: modnum._root_plan(5, 2**32 + 15)):
+                     lambda: modnum._root_plan(5, 2**32 + 15), lambda: modnum._key_plan(5, 2**32 + 15, 11)):
             with pytest.raises(NotSupported):
                 call()
 

@@ -21,4 +21,4 @@ def test_sweep_digest_matches_record(name):
     try:
         assert SWEEPS[name]() == RECORDED[name]
     finally:
-        modnum._root_plan.cache_clear()  # later tests build their plans afresh, in any order
+        modnum._key_plan.cache_clear()  # later tests build their plans afresh, in any order

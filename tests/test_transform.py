@@ -347,8 +347,10 @@ class TestEncodeDecode:
                         assert decoded == m, (t, p, q, m)
                         root = extract_root(pkt.c, params)
                         assert decoded == candidate_set(root, rs)[pkt.rank - 1], (t, p, q, m)
-                        for f in (p,) if q is None else (p, q):
-                            assert pow(_any_root(pkt.c % f, t, f), t, f) == pkt.c % f, (t, f, m)
+                        for f, plan in zip((p, q), modnum._key_plan(t, p, q)):
+                            if f is not None:
+                                x = _any_root(pkt.c % f, t, f, plan)
+                                assert pow(x, t, f) == pkt.c % f, (t, f, m)
                         checked += 1
         assert checked == 32505
 
@@ -375,37 +377,39 @@ class TestEncodeDecode:
             encode(28, params, root_set(5, 11, 31))
 
     def test_root_plan_cache_is_bounded(self):
-        # A receiver decoding under more distinct keys than the plan cache holds: the
-        # cache stops at its bound, and once full, 1,000 more keys leave memory near
-        # flat (about 42 B a key from plans of other sizes; an unbounded cache grew
-        # about 690 B a key).  gc.collect() empties the free lists before each reading.
-        maxsize = modnum._root_plan.cache_info().maxsize
+        # A receiver decoding under more distinct keys than the key-plan cache holds, half of
+        # them semiprimes whose entries hold two prime plans: the cache stops at its bound,
+        # and once full, 1,000 more keys leave memory flat (-6 B a key; an unbounded cache grew
+        # about 1,050 B a key).  gc.collect() empties the free lists before each reading.
+        maxsize = modnum._key_plan.cache_info().maxsize
         assert maxsize is not None
-        keys = [(t, p) for p in primes_below(10_000)[168:] for t in range(2, 13)][:maxsize + 1_200]
+        primes = primes_below(10_000)[168:]
+        keys = [(t, p, q) for p, next_p in zip(primes, primes[1:]) for q in (None, next_p)
+                for t in range(2, 13)][:maxsize + 1_200]
 
-        def round_trip(t, p):
-            params, rs = make_params(t, p), root_set(t, p)
+        def round_trip(t, p, q):
+            params, rs = make_params(t, p, q), root_set(t, p, q)
             assert decode(encode(p // 2, params, rs), params, rs) == p // 2
 
-        modnum._root_plan.cache_clear()
+        modnum._key_plan.cache_clear()
         tracemalloc.start()
         try:
-            for t, p in keys[:-1_000]:
-                round_trip(t, p)
+            for key in keys[:-1_000]:
+                round_trip(*key)
             gc.collect()
             before, _ = tracemalloc.get_traced_memory()
-            for t, p in keys[-1_000:]:
-                round_trip(t, p)
+            for key in keys[-1_000:]:
+                round_trip(*key)
             gc.collect()
             after, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert modnum._root_plan.cache_info().currsize == maxsize
+        assert modnum._key_plan.cache_info().currsize == maxsize
         assert after - before < 100_000, after - before
 
     def test_hand_built_equal_primes_named_error(self):
-        # make_params refuses p == q; a hand-built Params reaches the join and is
-        # refused there by name, not with a bare ValueError from pow.
+        # make_params refuses p == q; a hand-built Params reaches the key plan and is
+        # refused there by name (invmod in modnum._key_plan), not with a bare ValueError from pow.
         params = Params(5, 11, 11, 121, 100, DivClass.T_SQUARED)  # phi = (p-1)*(q-1)
         rs = RootSet(121, 5, (1,), {1: 1})
         c = pow(2, 5, 121)
