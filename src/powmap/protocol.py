@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
+from operator import index
 
 from . import roots, transform
 from .errors import FieldOutOfRange, MalformedPacket, NoSolution
@@ -33,8 +34,9 @@ _FIELD_SET = frozenset(PACKET_FIELDS)
 
 
 def serialize_packet(pkt: Packet) -> str:
-    """One line of wire text: {"t":5,"n":61,"c":11,"rank":3} plus newline; non-integers raise."""
-    return f'{{"t":{pkt.t:d},"n":{pkt.n:d},"c":{pkt.c:d},"rank":{pkt.rank:d}}}\n'
+    """One line of wire text: {"t":5,"n":61,"c":11,"rank":3} plus newline; a non-int: TypeError."""
+    t, n, c, rank = pkt
+    return '{"t":%d,"n":%d,"c":%d,"rank":%d}\n' % (index(t), index(n), index(c), index(rank))
 
 
 def validate_packet_fields(t: int, n: int, c: int, rank: int) -> Packet:
@@ -47,15 +49,15 @@ def validate_packet_fields(t: int, n: int, c: int, rank: int) -> Packet:
         raise FieldOutOfRange(f"c={c} outside 0..n-1")
     if not 1 <= rank <= t * t:
         raise FieldOutOfRange(f"rank={rank} outside 1..t**2={t * t}")
-    return Packet(t, n, c, rank)
+    return transform._packet((t, n, c, rank))
 
 
-def parse_packet(line: str | bytes) -> Packet:
+def parse_packet(line: str | bytes | bytearray) -> Packet:
     """Inverse of serialize_packet: whitespace-tolerant, otherwise strict.
 
-    Structural problems, over-long lines and duplicate fields among them,
-    raise MalformedPacket (with the offending position when available);
-    integer fields outside their domain raise FieldOutOfRange.
+    Structural problems, over-long lines, invalid UTF-8 in a bytes or bytearray line (not a
+    memoryview: TypeError) and duplicate fields among them raise MalformedPacket (with the
+    offending position when available); integer fields outside their domain raise FieldOutOfRange.
 
     A str that is exactly serialize_packet's line skips the JSON decoder;
     it gets the Packet or the FieldOutOfRange the decoder route would give.
@@ -65,7 +67,7 @@ def parse_packet(line: str | bytes) -> Packet:
     if type(line) is str and (mo := _CANONICAL.fullmatch(line)):
         return validate_packet_fields(int(mo[1]), int(mo[2]), int(mo[3]), int(mo[4]))
     try:
-        pairs = _DECODER.decode(line.decode("utf-8") if isinstance(line, bytes) else line)
+        pairs = _DECODER.decode(line.decode() if isinstance(line, (bytes, bytearray)) else line)
     except json.JSONDecodeError as exc:
         raise MalformedPacket(f"invalid packet at position {exc.pos}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError among them

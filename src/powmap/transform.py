@@ -7,6 +7,7 @@ the ascending candidate set does.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from collections.abc import Iterator
@@ -51,6 +52,9 @@ class Packet(namedtuple("Packet", "t n c rank")):
     """What travels on the wire: exponent, modulus, cipher, 1-indexed rank."""
 
     __slots__ = ()
+
+
+_packet = functools.partial(tuple.__new__, Packet)  # _packet((t, n, c, rank)) skips no check
 
 
 def make_params(t: int, p: int, q: int | None = None) -> Params:
@@ -165,8 +169,7 @@ def encode(m: int, params: Params, rs: RootSet) -> Packet:
     if rs.t != params.t or rs.modulus != n:
         raise InvalidArgument("root set does not match the key")
     c = encrypt(m, params)
-    rank = 1 + len([r for r in rs.roots if m * r % n < m])
-    return Packet(params.t, n, c, rank)
+    return _packet((params.t, n, c, 1 + len([r for r in rs.roots if m * r % n < m])))
 
 
 def decode(pkt: Packet, params: Params, rs: RootSet) -> int:

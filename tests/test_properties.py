@@ -85,13 +85,22 @@ def test_serialize_is_compact_json(pkt):
     assert serialize_packet(pkt) == json.dumps(fields, separators=(",", ":")) + "\n"
 
 
+# An f-string with :d specs is the oracle: the % format matches it byte for byte on any int or bool.
+@given(st.integers() | st.booleans(), st.integers() | st.booleans(),
+       st.integers() | st.booleans(), st.integers() | st.booleans())
+def test_serialize_matches_format_spec_oracle(t, n, c, r):
+    oracle = f'{{"t":{t:d},"n":{n:d},"c":{c:d},"rank":{r:d}}}\n'
+    assert serialize_packet(Packet(t, n, c, r)) == oracle
+
+
 @given(near_canonical_lines())
 def test_canonical_route_agrees_with_json_route(line):
     assert parse_outcome(line) == json_route_outcome(line)
 
 
-@given(st.one_of(st.text(), st.binary(), packet_like, packet_like.map(str.encode),
-                 near_canonical_lines(), near_canonical_lines().map(str.encode)))
+@given(st.one_of(st.text(), st.binary(), st.binary().map(bytearray), packet_like,
+                 packet_like.map(str.encode), near_canonical_lines(),
+                 near_canonical_lines().map(str.encode)))
 def test_parse_raises_only_powmap_errors(line):
     try:
         parse_packet(line)

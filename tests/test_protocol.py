@@ -1,4 +1,6 @@
 import re
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -39,13 +41,17 @@ class TestSerializePacket:
         assert parse_packet(serialize_packet(pkt).encode()) == pkt
 
     @pytest.mark.parametrize("pkt", [
+        Packet(5.0, 61, 11, 3),
+        Packet(5, 61.0, 11, 3),
         Packet(5, 61, 11.0, 3),
         Packet(5, 61, "11", 3),
         Packet(5, None, 11, 3),
         Packet(5, 61, 11, 3.5),
+        Packet(5, 61, Decimal(11), 3),
+        Packet(5, 61, Fraction(11), 3),
     ])
     def test_non_integer_field_raises(self, pkt):
-        with pytest.raises((ValueError, TypeError)):
+        with pytest.raises(TypeError):
             serialize_packet(pkt)
 
 
@@ -63,6 +69,19 @@ class TestParsePacket:
     def test_invalid_utf8_is_malformed(self):
         with pytest.raises(MalformedPacket):
             parse_packet(b'{"t":5,"n":61,"c":11,"rank":3}\xff')
+
+    def test_bytearray_roundtrip(self):
+        pkt = Packet(5, 341, 87, 5)
+        assert parse_packet(bytearray(serialize_packet(pkt).encode())) == pkt
+
+    def test_bytearray_invalid_utf8_is_malformed(self):
+        with pytest.raises(MalformedPacket):
+            parse_packet(bytearray(b'{"t":5,"n":61,"c":11,"rank":3}\xff'))
+
+    def test_memoryview_is_not_a_line(self):
+        # Outside the signature: a caller copies a buffer view with bytes() first.
+        with pytest.raises(TypeError):
+            parse_packet(memoryview(b'{"t":5,"n":61,"c":11,"rank":3}'))
 
     @pytest.mark.parametrize("line", [
         "not json",

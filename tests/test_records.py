@@ -5,11 +5,14 @@ import pytest
 from powmap import (
     Packet,
     cyclic_groups,
+    encode,
     make_params,
+    parse_packet,
     root_set,
     run_session,
 )
 from powmap.modnum import CrtBasis
+from powmap.protocol import validate_packet_fields
 
 
 def records():
@@ -71,3 +74,25 @@ class TestEquality:
     def test_records_are_tuples(self):
         assert Packet(5, 61, 11, 3) == (5, 61, 11, 3)
         assert tuple(CrtBasis.for_primes(11, 31)) == (11, 31, 5, 17, 341)
+
+
+# Every route that builds a Packet in powmap, each giving Packet(5, 61, 11, 3).
+PACKET_ROUTES = {
+    "encode": lambda: encode(28, make_params(5, 61), root_set(5, 61)),
+    "validate_packet_fields": lambda: validate_packet_fields(5, 61, 11, 3),
+    "parse_canonical": lambda: parse_packet('{"t":5,"n":61,"c":11,"rank":3}\n'),
+    "parse_json": lambda: parse_packet('{"rank": 3, "c": 11, "n": 61, "t": 5}'),
+    "parse_bytes": lambda: parse_packet(b'{"t":5,"n":61,"c":11,"rank":3}\n'),
+}
+
+
+@pytest.mark.parametrize("route", PACKET_ROUTES)
+def test_built_packets_are_real_packets(route):
+    pkt = PACKET_ROUTES[route]()
+    assert type(pkt) is Packet
+    assert pkt == Packet(*pkt) == Packet(5, 61, 11, 3)
+    assert hash(pkt) == hash(Packet(*pkt))
+    assert repr(pkt) == "Packet(t=5, n=61, c=11, rank=3)"
+    assert pkt._asdict() == {"t": 5, "n": 61, "c": 11, "rank": 3}
+    assert pkt._replace(rank=1) == Packet(5, 61, 11, 1)
+    assert type(pkt._replace(rank=1)) is Packet
