@@ -169,7 +169,11 @@ def encode(m: int, params: Params, rs: RootSet) -> Packet:
     if rs.t != params.t or rs.modulus != n:
         raise InvalidArgument("root set does not match the key")
     c = encrypt(m, params)
-    return _packet((params.t, n, c, 1 + len([r for r in rs.roots if m * r % n < m])))
+    rank = 1
+    for r in rs.roots:
+        if m * r % n < m:
+            rank += 1
+    return _packet((params.t, n, c, rank))
 
 
 def decode(pkt: Packet, params: Params, rs: RootSet) -> int:

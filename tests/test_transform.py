@@ -1,4 +1,6 @@
+import ast
 import gc
+import inspect
 import itertools
 import math
 import tracemalloc
@@ -327,6 +329,15 @@ class TestEncodeDecode:
                 if math.gcd(m, n) == 1:
                     oracle = sorted({m * r % n for r in rs.roots}).index(m) + 1
                     assert encode(m, params, rs).rank == oracle, (t, factors, m)
+
+    def test_encode_builds_no_nested_scope(self):
+        # encode counts the rank in a plain loop.  On Python 3.11 a comprehension over the roots
+        # made m and n cell variables and built a closure, a function and a frame per packet: the
+        # rank took 1.99-2.02 us a desk-encode packet against 1.64-1.66 us for the loop.  3.12+
+        # inlines comprehensions (PEP 709), so the source is checked, not co_cellvars.
+        nested = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp, ast.Lambda)
+        tree = ast.parse(inspect.getsource(encode))
+        assert [type(node).__name__ for node in ast.walk(tree) if isinstance(node, nested)] == []
 
     def test_round_trip_sweep_over_small_keys(self):
         # t = 2..12, every prime p < 1000 alone and with each of the next five
