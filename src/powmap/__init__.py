@@ -16,8 +16,6 @@ from .errors import (
     MalformedPacket,
     NoSolution,
     NotCoprime,
-    NotDivisor,
-    NotInvertible,
     NotResidue,
     NotSupported,
     PowmapError,
@@ -60,8 +58,6 @@ __all__ = [
     "MalformedPacket",
     "NoSolution",
     "NotCoprime",
-    "NotDivisor",
-    "NotInvertible",
     "NotResidue",
     "NotSupported",
     "Packet",

@@ -17,7 +17,7 @@ import sys
 
 from . import groups as groups_mod
 from . import modnum, protocol, roots, transform
-from .errors import IneligibleGenerator, PowmapError
+from .errors import PowmapError
 
 
 def _words(value) -> str:
@@ -62,11 +62,8 @@ def _cmd_generators(args, params: transform.Params):
 
 def _cmd_table(args, params: transform.Params):
     alpha = args.alpha
-    if alpha is None:
-        gens = roots.eligible_generators(_root_set(params))
-        if not gens:
-            raise IneligibleGenerator(f"no root of order exactly {params.t} mod {params.n}")
-        alpha = gens[0]
+    if alpha is None:  # 1 if no root has order t: mapping_table refuses that key before alpha
+        alpha = min(roots.eligible_generators(_root_set(params)), default=1)
     rows = transform.mapping_table(params, alpha)
     objects = ({"row": list(row), "cipher": c} for row, c in rows)
     return objects, (f"{_words(row)} {c}" for row, c in rows)

@@ -14,16 +14,8 @@ class InvalidArgument(PowmapError, ValueError):
     """An argument is outside its function's domain; also a ValueError for callers that catch one."""
 
 
-class NotInvertible(PowmapError):
-    """The element shares a factor with the modulus, so no inverse exists."""
-
-
 class NotSupported(PowmapError):
     """Input is outside the desk-scale contract (size or factor count)."""
-
-
-class NotDivisor(PowmapError):
-    """No divisor of t is an exponent annihilating the element."""
 
 
 class InvalidPrime(PowmapError):
@@ -31,7 +23,7 @@ class InvalidPrime(PowmapError):
 
 
 class NotCoprime(PowmapError):
-    """The message shares a factor with the modulus."""
+    """An element to invert, or a message or cipher, shares a factor with the modulus."""
 
 
 class NoSolution(PowmapError):

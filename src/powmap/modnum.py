@@ -14,13 +14,12 @@ import functools
 import itertools
 import math
 from collections import namedtuple
+from operator import index
 
 from .errors import (
     InvalidArgument,
     InvalidPrime,
     NotCoprime,
-    NotDivisor,
-    NotInvertible,
     NotSupported,
 )
 
@@ -30,13 +29,13 @@ T_BOUND = 12
 
 
 def invmod(a: int, modulus: int) -> int:
-    """The b with a*b ≡ 1 (mod modulus); NotInvertible when gcd(a, modulus) > 1."""
+    """The b with a*b ≡ 1 (mod modulus); NotCoprime when gcd(a, modulus) > 1."""
     if modulus < 2:
         raise InvalidArgument(f"modulus must be >= 2, got {modulus}")
     try:
         return pow(a, -1, modulus)
     except ValueError:
-        raise NotInvertible(f"gcd({a % modulus}, {modulus}) = {math.gcd(a, modulus)}") from None
+        raise NotCoprime(f"gcd({a % modulus}, {modulus}) = {math.gcd(a, modulus)}") from None
 
 
 class CrtBasis(namedtuple("CrtBasis", "p q q_inv_mod_p p_inv_mod_q n")):
@@ -99,8 +98,8 @@ def element_order(a: int, modulus: int, t: int) -> int:
     """Smallest divisor d of t with a**d ≡ 1 (mod modulus).
 
     Closed form: check a**t ≡ 1, then divide each prime factor out of t
-    while the power stays 1.  Raises NotDivisor when a**t ≢ 1, i.e. a is
-    not a t-th root of unity.
+    while the power stays 1.  InvalidArgument when a**t ≢ 1, i.e. a is
+    not a t-th root of unity, as for a bad t or modulus; NotCoprime for a non-unit.
     """
     if not 1 <= t <= T_BOUND:  # before t is factored over the small primes
         raise InvalidArgument(f"t must be in 1..{T_BOUND}, got {t}")
@@ -110,7 +109,7 @@ def element_order(a: int, modulus: int, t: int) -> int:
     if math.gcd(a, modulus) != 1:
         raise NotCoprime(f"gcd({a}, {modulus}) > 1")
     if pow(a, t, modulus) != 1:
-        raise NotDivisor(f"{a} is not a {t}-th root of unity mod {modulus}")
+        raise InvalidArgument(f"{a} is not a {t}-th root of unity mod {modulus}")
     d = t
     for ell in _prime_factors(t):
         if pow(a, d // ell, modulus) == 1:
@@ -139,8 +138,9 @@ def is_prime(n: int) -> bool:
     A lookup below 1009; above, one gcd with the product of the primes
     below 1009, which settles every n < 1009**2; above that,
     Miller-Rabin with the bases 2, 7 and 61, which no composite below
-    4,759,123,141 passes (Jaeschke, Math. Comp. 61, 1993).
+    4,759,123,141 passes (Jaeschke, Math. Comp. 61, 1993).  TypeError for a non-integer n.
     """
+    n = index(n)
     if n < _SCREEN:
         return n in _SMALL_PRIMES
     if n >= FACTOR_BOUND:
@@ -278,11 +278,13 @@ def _root_plan(t: int, p: int) -> tuple:
 @functools.lru_cache(maxsize=2048)
 def _key_plan(t: int, p: int, q: int | None) -> tuple:
     """(plan_p, plan_q, q_inv): _root_plan of each prime of the key and q**-1 mod p, the last
-    two None for a prime key.  Checks t, p, q, then p != q (NotInvertible).  Built at a key's
+    two None for a prime key.  Checks p != q (InvalidPrime), then t, p, q.  Built at a key's
     first root, not at key set-up.  Bounded so a receiver under many keys stays small: a key
     plan takes about 1.4 KB on the corner keys and on a wide-keys round's 806 keys, which all
     fit, and at most about 15 KB (t = 12, 2**8*3**5 | p-1 and q-1); 2048 take at most 30 MB.
     """
+    if p == q:  # first, as root_set refuses it
+        raise InvalidPrime("p and q must differ")
     plan_p = _root_plan(t, p)
     if q is None:
         return plan_p, None, None

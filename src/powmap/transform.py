@@ -12,6 +12,7 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
+from operator import index
 
 from . import modnum
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     NotSupported,
     RankOutOfRange,
 )
-from .roots import RootSet
+from .roots import RootSet, eligible_generators, root_set
 
 
 class DivClass(Enum):
@@ -61,9 +62,10 @@ def make_params(t: int, p: int, q: int | None = None) -> Params:
     """Classify (t, p[, q]): computes n, phi and the divisibility class.
 
     Succeeds even when t does not divide phi, so callers get a diagnostic
-    rather than an error.  Outside the contract: InvalidArgument for t outside
-    2..12, NotSupported for n >= 2**32.
+    rather than an error.  Outside the contract: TypeError for a non-integer argument, first,
+    then InvalidArgument for t outside 2..12, NotSupported for n >= 2**32.
     """
+    t, p, q = index(t), index(p), None if q is None else index(q)
     if not 2 <= t <= modnum.T_BOUND:
         raise InvalidArgument(f"t must be in 2..{modnum.T_BOUND}, got {t}")
     if q is not None and p == q:
@@ -136,7 +138,7 @@ def extract_root(c: int, params: Params) -> int:
 def _root_per_prime(c: int, params: Params, root_mod_prime) -> int:
     """A t-th root of c mod n: root_mod_prime(c % f, t, f, plan of f) per prime factor f from one
     modnum._key_plan lookup, joined in Garner's form with its q**-1 mod p for a semiprime.  The
-    key plan refuses a bad key (NotInvertible if p == q); then NotResidue where one has none."""
+    key plan refuses a bad key (InvalidPrime if p == q); then NotResidue where one has none."""
     t, p, q = params.t, params.p, params.q
     plan_p, plan_q, q_inv = modnum._key_plan(t, p, q)
     r_p = root_mod_prime(c % p, t, p, plan_p)  # checked there: r_p**t ≡ c (mod p)
@@ -206,12 +208,12 @@ def mapping_table(params: Params, alpha: int) -> Iterator[tuple[tuple[int, ...],
 
     Each row is one coset of <alpha>, led by the smallest unit not yet
     placed, so each unit appears once and the rows show the t-to-1 collapse.
-    The key is checked on the call; the rows then stream, with no per-residue state.
+    The key, then alpha's order, is checked on the call; the rows stream, with no per-residue state.
     """
     if params.q is not None or params.div_class is not DivClass.T_EXACTLY:
         raise InvalidArgument("mapping table needs a prime modulus with phi divisible by t only")
     p, t = params.p, params.t
-    if modnum.element_order(alpha, p, t) != t:
+    if alpha % p not in eligible_generators(root_set(t, p)):
         raise IneligibleGenerator(f"{alpha} does not have order {t} mod {p}")
     return _table_rows(p, t, alpha)
 

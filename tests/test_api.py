@@ -9,7 +9,7 @@ from powmap import modnum
 PUBLIC = {
     # errors
     "FieldOutOfRange", "IneligibleGenerator", "InvalidArgument", "InvalidPrime", "MalformedPacket",
-    "NoSolution", "NotCoprime", "NotDivisor", "NotInvertible", "NotResidue", "NotSupported",
+    "NoSolution", "NotCoprime", "NotResidue", "NotSupported",
     "PowmapError", "RankOutOfRange",
     # roots
     "RootSet", "eligible_generators", "lift_roots", "quintic_roots_prime", "root_set",
@@ -27,7 +27,7 @@ KERNEL = ("CrtBasis", "crt_pair", "element_order", "factor_semiprime", "invmod",
 
 
 def test_all_is_the_agreed_surface():
-    assert len(powmap.__all__) == len(PUBLIC) == 39
+    assert len(powmap.__all__) == len(PUBLIC) == 37
     assert set(powmap.__all__) == PUBLIC
     for name in PUBLIC:
         getattr(powmap, name)
@@ -47,6 +47,13 @@ def test_formula_failure_is_gone():
 def test_warning_class_is_gone():
     assert not hasattr(powmap, "NotCoprimeWarning")
     assert not hasattr(powmap.errors, "NotCoprimeWarning")
+
+
+def test_duplicate_refusal_classes_are_gone():
+    # A non-unit to invert is NotCoprime; a non-root given to element_order is InvalidArgument.
+    for name in ("NotInvertible", "NotDivisor"):
+        assert not hasattr(powmap, name), name
+        assert not hasattr(powmap.errors, name), name
 
 
 def test_every_refusal_is_a_powmap_error():

@@ -191,10 +191,20 @@ class TestErrorPaths:
             main(["params", "--t", "5", "--p", "61"])
 
     def test_table_without_generator(self, capsys):
-        # 5 does not divide 43-1, so no root has order 5 and there is no default --alpha.
-        code, out, err = run_cli(capsys, "table", "--t", "5", "--p", "43")
-        assert code == 1 and out == ""
-        assert err == "IneligibleGenerator: no root of order exactly 5 mod 43\n"
+        # 5 does not divide 43-1, so no root has order 5 and there is no default --alpha:
+        # mapping_table refuses the key by its own rule, as for 5 | 101-1 with 25 | 101-1.
+        for p in ("43", "101"):
+            code, out, err = run_cli(capsys, "table", "--t", "5", "--p", p)
+            assert code == 1 and out == ""
+            assert err == ("InvalidArgument: mapping table needs a prime modulus"
+                           " with phi divisible by t only\n")
+
+    def test_table_ineligible_alpha_one_name(self, capsys):
+        # A non-root, 0 mod p and a root of order 1 break one rule, so they share one name.
+        for alpha in ("2", "61", "1"):
+            code, out, err = run_cli(capsys, "table", "--t", "5", "--p", "61", "--alpha", alpha)
+            assert code == 1 and out == ""
+            assert err == f"IneligibleGenerator: {alpha} does not have order 5 mod 61\n"
 
     def test_usage_error_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,6 @@ from powmap import (
     InvalidPrime,
     NoSolution,
     NotCoprime,
-    NotInvertible,
     NotResidue,
     NotSupported,
     Packet,
@@ -72,6 +71,15 @@ class TestMakeParams:
             make_params(13, 53)
         with pytest.raises(NotSupported):
             make_params(5, 65537, 65539)
+
+    def test_non_integer_arguments_raise_type_error(self):
+        # As serialize_packet does; 61.0 gave Params(p=61.0, phi=60.0, ...) and was called prime.
+        for args in ((5, 61.0), (5.0, 61), (5, 11, 31.0)):
+            with pytest.raises(TypeError):
+                make_params(*args)
+        for n in (61.0, 2147483647.0):
+            with pytest.raises(TypeError):
+                modnum.is_prime(n)
 
 
 class TestEncrypt:
@@ -420,12 +428,12 @@ class TestEncodeDecode:
 
     def test_hand_built_equal_primes_named_error(self):
         # make_params refuses p == q; a hand-built Params reaches the key plan and is
-        # refused there by name (invmod in modnum._key_plan), not with a bare ValueError from pow.
+        # refused there first, by the name and message make_params and root_set give.
         params = Params(5, 11, 11, 121, 100, DivClass.T_SQUARED)  # phi = (p-1)*(q-1)
         rs = RootSet(121, 5, (1,), {1: 1})
         c = pow(2, 5, 121)
         for call in (lambda: extract_root(c, params), lambda: decode(Packet(5, 121, c, 1), params, rs)):
-            with pytest.raises(NotInvertible):
+            with pytest.raises(InvalidPrime, match="^p and q must differ$"):
                 call()
 
     def test_t_to_one_on_units(self):
@@ -463,6 +471,21 @@ class TestMappingTable:
             assert {pow(v, 6, 43) for v in row} == {c}
             ciphers.add(c)
         assert len(ciphers) == len(rows)
+
+    @pytest.mark.parametrize("t, p", [(5, 61), (6, 43)])
+    def test_every_alpha_gives_the_table_or_one_refusal(self, t, p):
+        # 0 mod p, a root of lower order and a non-root break one rule: order exactly t.
+        params = make_params(t, p)
+        tables = {a: list(mapping_table(params, a)) for a in range(1, p)
+                  if pow(a, t, p) == 1 and all(pow(a, k, p) != 1 for k in range(1, t))}
+        assert len(tables) == len(eligible_generators(root_set(t, p)))
+        for alpha in range(-p, 2 * p + 1):
+            if alpha % p in tables:
+                assert list(mapping_table(params, alpha)) == tables[alpha % p]
+            else:
+                with pytest.raises(IneligibleGenerator) as exc:
+                    mapping_table(params, alpha)
+                assert str(exc.value) == f"{alpha} does not have order {t} mod {p}"
 
     def test_ineligible_alpha_rejected(self):
         with pytest.raises(IneligibleGenerator):
