@@ -73,8 +73,8 @@ def _garner(r_p: int, r_q: int, p: int, q: int, q_inv: int) -> int:
 
 
 def crt_pair(r_p: int, r_q: int, basis: CrtBasis) -> int:
-    """The unique x mod p*q with x ≡ r_p (mod p) and x ≡ r_q (mod q), by _garner."""
-    return _garner(r_p, r_q, basis.p, basis.q, basis.q_inv_mod_p)
+    """The unique x mod p*q with x ≡ r_p (mod p) and x ≡ r_q (mod q), by _garner; ints only."""
+    return _garner(index(r_p), index(r_q), basis.p, basis.q, basis.q_inv_mod_p)
 
 
 def sqrtmod(a: int, p: int) -> tuple[int, ...]:
@@ -236,11 +236,12 @@ def _unity(t: int, p: int) -> tuple[int, dict[int, int]]:
     return z, orders
 
 
-def _root_plan(t: int, p: int) -> tuple:
-    """What a t-th root mod the prime p needs that does not depend on the cipher.
+@functools.lru_cache(maxsize=4096)
+def _key_plan(t: int, p: int, q: int | None) -> tuple:
+    """What a t-th root mod each prime of the key needs that does not depend on the cipher:
+    (plan_p, None, None) for a prime key, (plan_p, plan_q, q**-1 mod p) for a semiprime.
 
-    Write p-1 = A*B with A made only of primes dividing t.  Returns
-    (b_exp, sylow, unity, exps):
+    Write p-1 = A*B with A made only of primes dividing t.  p's plan is (b_exp, sylow, unity, exps):
     - c**b_exp is a t-th root of the part of c whose order divides B;
     - sylow has one entry (ell, s, m, g_inv, table, gw, ell**k, width) per
       prime ell | t with ell**s || p-1 and ell**k || t, s > k: m = (p-1)/ell**s,
@@ -251,8 +252,16 @@ def _root_plan(t: int, p: int) -> tuple:
     - unity holds the gcd(t, p-1) t-th roots of unity;
     - exps is t/l0, t/(l0*l1), ..., 1 for the prime factors l0 <= l1 <= ...
       of t.
-    Uncached: _key_plan holds the plans of each key's primes.
+    Checks p != q (InvalidPrime), then t, p, q.  Built at a key's first root, not at key set-up;
+    a semiprime reads its plans from the prime entries, so each (t, p) plan is built once and
+    shared by every key that holds p.  At most 4096 entries: a plan takes at most about 7.9 KB
+    (t = 12, 2**6*3**3 | p-1), and a semiprime entry 0.2 KB more and keeps its two plans alive,
+    so at most about 65 MB; a wide-keys round's 806 keys take 1,472 entries and 1.35 MB.
     """
+    if p == q:  # first, as root_set refuses it
+        raise InvalidPrime("p and q must differ")
+    if q is not None:
+        return _key_plan(t, p, None)[0], _key_plan(t, q, None)[0], invmod(q, p)
     z, unity = _unity(t, p)  # checks t and p first; the one search of the plan
     ells = _prime_factors(t)
     a_part, sylow = 1, []
@@ -272,29 +281,13 @@ def _root_plan(t: int, p: int) -> tuple:
             sylow.append((ell, s, m, pow(g, -1, p), table, pow(g, v, p), ell**k, width))
     b_exp = a_part * pow(a_part * t, -1, (p - 1) // a_part)
     exps = tuple(t // math.prod(ells[:i + 1]) for i in range(len(ells)))
-    return b_exp, tuple(sylow), tuple(unity), exps
-
-
-@functools.lru_cache(maxsize=2048)
-def _key_plan(t: int, p: int, q: int | None) -> tuple:
-    """(plan_p, plan_q, q_inv): _root_plan of each prime of the key and q**-1 mod p, the last
-    two None for a prime key.  Checks p != q (InvalidPrime), then t, p, q.  Built at a key's
-    first root, not at key set-up.  Bounded so a receiver under many keys stays small: a key
-    plan takes about 1.4 KB on the corner keys and on a wide-keys round's 806 keys, which all
-    fit, and at most about 15 KB (t = 12, 2**8*3**5 | p-1 and q-1); 2048 take at most 30 MB.
-    """
-    if p == q:  # first, as root_set refuses it
-        raise InvalidPrime("p and q must differ")
-    plan_p = _root_plan(t, p)
-    if q is None:
-        return plan_p, None, None
-    return plan_p, _root_plan(t, q), invmod(q, p)
+    return (b_exp, tuple(sylow), tuple(unity), exps), None, None
 
 
 def _any_root(c: int, t: int, p: int, plan: tuple) -> int | None:
     """Some x with x**t ≡ c (mod the prime p), or None when c has no t-th root.
 
-    From p's plan (_root_plan(t, p), read from _key_plan): one pow for the part of the group
+    From p's plan (_key_plan(t, p, None)[0]): one pow for the part of the group
     prime to t, and for each Sylow subgroup the Pohlig-Hellman digits of a discrete log, read
     width digits per lookup in the plan's table of at most 64 entries (Adleman-Manders-Miller;
     Bernstein 2001).  Which root comes out is whatever the plan gives.

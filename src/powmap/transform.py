@@ -98,11 +98,13 @@ def encrypt(m: int, params: Params) -> int:
 def inverse_exponent(t: int, phi: int) -> tuple[int, int]:
     """Smallest a >= 0 with (a*phi + t) / t**2 an integer, and that quotient.
 
-    Requires phi divisible by t but not t**2.  Writing k = phi/t, the
-    solution is a = -k^{-1} mod t, which also needs gcd(k, t) = 1; for a
-    composite t that extra condition can fail even inside the stated
-    divisibility regime, and then no exponent exists at all.
+    Requires t in 2..12 (TypeError for a non-integer, else InvalidArgument), and phi divisible
+    by t but not t**2 (else NoSolution).  Writing k = phi/t, the solution is a = -k^{-1} mod t,
+    which also needs gcd(k, t) = 1; for a composite t that extra condition can fail even inside
+    the stated divisibility regime, and then no exponent exists at all.
     """
+    if not 2 <= index(t) <= modnum.T_BOUND:
+        raise InvalidArgument(f"t must be in 2..{modnum.T_BOUND}, got {t}")
     if phi % t != 0:
         raise NoSolution(f"{t} does not divide phi={phi}")
     if phi % (t * t) == 0:
@@ -156,9 +158,9 @@ def candidate_set(x: int, rs: RootSet) -> list[int]:
     """Ascending {x*r mod n : r in root set}, the decode search space.
 
     x must be a unit, so the products are distinct.  Identical for every
-    t-th root x of the same cipher, since the root set is a group.
+    t-th root x of the same cipher, since the root set is a group.  TypeError for a non-integer x.
     """
-    n = rs.modulus
+    x, n = index(x), rs.modulus
     cands = [x * r % n for r in rs.roots]
     cands.sort()
     return cands
@@ -208,11 +210,11 @@ def mapping_table(params: Params, alpha: int) -> Iterator[tuple[tuple[int, ...],
 
     Each row is one coset of <alpha>, led by the smallest unit not yet
     placed, so each unit appears once and the rows show the t-to-1 collapse.
-    The key, then alpha's order, is checked on the call; the rows stream, with no per-residue state.
+    Checks the key, then alpha's type and order, on the call; rows stream with no per-residue state.
     """
     if params.q is not None or params.div_class is not DivClass.T_EXACTLY:
         raise InvalidArgument("mapping table needs a prime modulus with phi divisible by t only")
-    p, t = params.p, params.t
+    p, t, alpha = params.p, params.t, index(alpha)
     if alpha % p not in eligible_generators(root_set(t, p)):
         raise IneligibleGenerator(f"{alpha} does not have order {t} mod {p}")
     return _table_rows(p, t, alpha)

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +14,7 @@ from powmap import (
     PowmapError,
     root_set,
 )
+import powmap
 from powmap import modnum
 from powmap.modnum import (
     CrtBasis,
@@ -84,6 +87,14 @@ class TestCrt:
                 assert modnum._garner(x % 11 + 11 * k, x % 17 - 17 * j, 11, 17, 2) == x
                 assert modnum._garner(x % 11 - 11 * k, x % 17 + 17 * j, 11, 17, 2) == x
 
+    def test_non_integer_residues_raise_type_error(self):
+        # A float residue would give a float join; bool is an int, as for operator.index.
+        basis = CrtBasis.for_primes(61, 3)
+        for r_p, r_q in ((1.0, 2), (1, 2.0), ("1", 2), (1, None)):
+            with pytest.raises(TypeError):
+                crt_pair(r_p, r_q, basis)
+        assert crt_pair(True, True, basis) == 1
+
     def test_basis_validation(self):
         from powmap import InvalidPrime
 
@@ -101,7 +112,17 @@ class TestCrt:
         assert isinstance(vars(CrtBasis)["for_primes"], classmethod)
         assert not hasattr(vars(CrtBasis)["for_primes"].__func__, "cache_info")
         assert hasattr(modnum._key_plan, "cache_info")
-        assert not hasattr(modnum._root_plan, "cache_info")
+        # The key plan is the one cached function in src/powmap/, by its decorators.
+        cached = []
+        for path in sorted(Path(powmap.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_bytes(), str(path))):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    for deco in node.decorator_list:
+                        deco = deco.func if isinstance(deco, ast.Call) else deco
+                        name = getattr(deco, "attr", getattr(deco, "id", None))
+                        if name in ("lru_cache", "cache"):
+                            cached.append(f"{path.name}:{node.name}")
+        assert cached == ["modnum.py:_key_plan"]
         assert CrtBasis.for_primes(31, 13) == CrtBasis.for_primes(31, 13)
         for _ in range(2):
             with pytest.raises(InvalidPrime):
@@ -230,7 +251,7 @@ def _scan_order(x, p):
 
 def _sylow_generators(t, p):
     """{ell: g} for the Sylow generators g of the plan for (t, p)."""
-    return {entry[0]: pow(entry[3], -1, p) for entry in modnum._root_plan(t, p)[1]}
+    return {entry[0]: pow(entry[3], -1, p) for entry in modnum._key_plan(t, p, None)[0][1]}
 
 
 class TestUnityGenerator:
@@ -247,7 +268,7 @@ class TestUnityGenerator:
     def test_plan_sylow_generators_have_exact_order(self):
         for p in reference.primes_below(2000):
             for t in range(1, 13):
-                for ell, s, _, g_inv, *_ in modnum._root_plan(t, p)[1]:
+                for ell, s, _, g_inv, *_ in modnum._key_plan(t, p, None)[0][1]:
                     assert _scan_order(pow(g_inv, -1, p), p) == ell**s, (t, p, ell)
 
     def test_sylow_orders_of_deep_primes(self):
@@ -276,6 +297,25 @@ class TestUnityGenerator:
         finally:
             modnum._key_plan.cache_clear()
         assert calls == [(12, 4294964521), (12, 65537), (12, 40961)]
+
+    def test_keys_share_the_plan_of_a_prime(self, monkeypatch):
+        # 61 is a factor of two keys and a prime modulus of its own: one search and one plan.
+        calls, unity = [], modnum._unity
+
+        def counted(t, p):
+            calls.append((t, p))
+            return unity(t, p)
+
+        monkeypatch.setattr(modnum, "_unity", counted)
+        modnum._key_plan.cache_clear()
+        try:
+            plan_61 = modnum._key_plan(5, 11, 61)[1]
+            assert modnum._key_plan(5, 31, 61)[1] is plan_61
+            assert nth_root_mod_prime(pow(2, 5, 61), 5, 61) == 2
+            assert modnum._key_plan(5, 61, None)[0] is plan_61
+        finally:
+            modnum._key_plan.cache_clear()
+        assert calls == [(5, 11), (5, 61), (5, 31)]
 
 
 class TestDigitChunks:

@@ -7,9 +7,11 @@ draws the same examples and Tier-1 stays deterministic.
 
 import contextlib
 import functools
+import inspect
 import io
 import json
 import math
+from collections.abc import Iterator
 
 import pytest
 
@@ -17,19 +19,25 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import assume, example, given, settings, strategies as st
 
+import powmap
 from powmap import (
+    DivClass,
     Packet,
     PowmapError,
+    candidate_set,
+    cyclic_groups,
     decode,
     encode,
     extract_root,
     make_params,
+    mapping_table,
     parse_packet,
     root_set,
     serialize_packet,
 )
+from powmap import modnum
 from powmap.cli import main
-from powmap.modnum import FACTOR_BOUND, T_BOUND, nth_root_mod_prime
+from powmap.modnum import FACTOR_BOUND, T_BOUND, CrtBasis, nth_root_mod_prime
 from powmap.protocol import MAX_LINE, PACKET_FIELDS
 
 import corners
@@ -237,3 +245,67 @@ def test_cli_exits_0_1_or_2(argv):
         assert code == 1, argv
         name, _, message = stderr.partition(": ")
         assert name in CLI_ERROR_NAMES and message.endswith("\n") and message.count("\n") == 1, stderr
+
+
+# Every public function of powmap and powmap.modnum, sorted by qualified name.  The record
+# types are left out: they are namedtuples, which keep the types they are given.
+PUBLIC_FUNCTIONS = sorted({fn for module in (powmap, modnum) for name, fn in vars(module).items()
+                           if not name.startswith("_") and inspect.isfunction(fn)
+                           and fn.__module__.startswith("powmap")},
+                          key=lambda fn: f"{fn.__module__}.{fn.__name__}")
+# Small ints first, so that exponents inside 2..12 come up often.
+scalars = (st.integers(-2, 13) | st.integers(-2**16, 2**16 - 1) | st.booleans() | st.floats()
+           | st.text(max_size=4) | st.none())
+BOUNDARY_KEYS = [(5, 61, None), (6, 43, None), (5, 11, 31), (6, 7, 13)]
+
+
+@functools.cache
+def _records(t, p, q):
+    """The record arguments of one key, by parameter name; prime keys pair p with 3 for the
+    arguments that need two primes."""
+    params, rs = _key(t, p, q)
+    other = q or 3
+    return {"params": params, "rs": rs, "rs_p": root_set(t, p), "rs_q": root_set(t, other),
+            "gp": cyclic_groups(rs), "basis": CrtBasis.for_primes(p, other)}
+
+
+@st.composite
+def public_calls(draw):
+    """(function, arguments): a scalar for each scalar parameter, and for each record parameter
+    the record of one key, or for pkt a Packet of that key's (t, n) with two scalars."""
+    fn = draw(st.sampled_from(PUBLIC_FUNCTIONS))
+    t, p, q = key = draw(st.sampled_from(BOUNDARY_KEYS))
+    records, args = _records(*key), []
+    for name in inspect.signature(fn).parameters:
+        if name == "pkt":
+            args.append(Packet(t, records["params"].n, draw(scalars), draw(scalars)))
+        else:
+            args.append(records[name] if name in records else draw(scalars))
+    return fn, tuple(args)
+
+
+def _non_int_numbers(value):
+    """The numbers inside value (its fields, items, keys and values) that are not ints."""
+    if isinstance(value, (str, DivClass, type(None))):
+        return []
+    if isinstance(value, dict):
+        value = [*value.keys(), *value.values()]
+    if isinstance(value, (tuple, list)):
+        return [bad for item in value for bad in _non_int_numbers(item)]
+    return [] if isinstance(value, int) else [value]
+
+
+@given(public_calls())
+@example((mapping_table, (make_params(5, 61), 9.0)))  # 9.0 % 61 is the eligible root 9
+@example((candidate_set, (3.0, root_set(5, 61))))
+def test_public_functions_refuse_by_name_or_return_ints(call):
+    # Any argument either gets a PowmapError or TypeError on the call, or a result, with any
+    # iterator consumed, whose numbers are all ints: nothing else comes out, and nothing later.
+    fn, args = call
+    try:
+        result = fn(*args)
+    except (PowmapError, TypeError):
+        return
+    if isinstance(result, Iterator):
+        result = list(result)
+    assert not _non_int_numbers(result), (fn.__name__, args)

@@ -229,11 +229,12 @@ class TestClosedForm:
 
         monkeypatch.setattr(modnum, "_prime_factors", refuse)
         for call in (lambda: root_set(4, 21), lambda: root_set(4, 21, 13),
-                     lambda: modnum._root_plan(4, 21), lambda: modnum._key_plan(4, 21, 13)):
+                     lambda: modnum._key_plan(4, 21, None)[0], lambda: modnum._key_plan(4, 21, 13)):
             with pytest.raises(InvalidPrime, match="21 is not prime"):
                 call()
         for call in (lambda: root_set(5, 2**32 + 15), lambda: root_set(5, 2**32 + 15, 11),
-                     lambda: modnum._root_plan(5, 2**32 + 15), lambda: modnum._key_plan(5, 2**32 + 15, 11)):
+                     lambda: modnum._key_plan(5, 2**32 + 15, None)[0],
+                     lambda: modnum._key_plan(5, 2**32 + 15, 11)):
             with pytest.raises(NotSupported):
                 call()
 
@@ -251,7 +252,7 @@ class TestClosedForm:
         # modnum._unity checks t for every per-prime build, before p is found composite.
         for call, t in ((lambda: root_set(13, 21), 13), (lambda: root_set(0, 61), 0),
                         (lambda: nth_root_mod_prime(2, 13, 21), 13),
-                        (lambda: modnum._root_plan(13, 61), 13)):
+                        (lambda: modnum._key_plan(13, 61, None)[0], 13)):
             with pytest.raises(InvalidArgument) as exc:
                 call()
             assert str(exc.value) == f"t must be in 1..12, got {t}"

@@ -139,6 +139,17 @@ class TestInverseExponent:
             a, res = inverse_exponent(t, phi)
             assert t * t * res == a * phi + t
 
+    def test_exponent_outside_the_contract(self):
+        # t is checked first, against the contract as in make_params: phi % t divides by t.
+        for t in (0, 1, 13, -5, True):
+            with pytest.raises(InvalidArgument, match=r"^t must be in 2\.\.12, got "):
+                inverse_exponent(t, 60)
+        for t in (5.0, "5", None):
+            with pytest.raises(TypeError):
+                inverse_exponent(t, 60)
+        with pytest.raises(TypeError):
+            inverse_exponent(5, 60.0)
+
     def test_no_solution_outside_regime(self):
         with pytest.raises(NoSolution):
             inverse_exponent(5, 63)  # t does not divide phi
@@ -250,6 +261,14 @@ class TestCandidateSet:
         assert len(fiber) == 25
         lists = {tuple(candidate_set(x, rs)) for x in fiber}
         assert len(lists) == 1
+
+    def test_non_integer_x_raises_type_error(self):
+        # A float x would give float candidates; bool is an int, as for operator.index.
+        rs = root_set(5, 61)
+        for x in (3.0, "3", None):
+            with pytest.raises(TypeError):
+                candidate_set(x, rs)
+        assert candidate_set(True, rs) == list(QUINTIC_ROOTS_61)
 
 
 def _smallest_keys(bound=2000):
@@ -397,9 +416,10 @@ class TestEncodeDecode:
 
     def test_root_plan_cache_is_bounded(self):
         # A receiver decoding under more distinct keys than the key-plan cache holds, half of
-        # them semiprimes whose entries hold two prime plans: the cache stops at its bound,
-        # and once full, 1,000 more keys leave memory flat (-6 B a key; an unbounded cache grew
-        # about 1,050 B a key).  gc.collect() empties the free lists before each reading.
+        # them semiprimes whose entries share the plans of their primes' entries: the cache
+        # stops at its bound, and once full, 1,000 more keys leave memory nearly flat (about
+        # 40 B a key on 3.10-3.13; an unbounded cache grew about 480 B a key).  gc.collect()
+        # empties the free lists before each reading.
         maxsize = modnum._key_plan.cache_info().maxsize
         assert maxsize is not None
         primes = primes_below(10_000)[168:]
@@ -492,6 +512,14 @@ class TestMappingTable:
             mapping_table(make_params(6, 43), 6)
         with pytest.raises(ValueError):
             mapping_table(make_params(5, 31, 11), 4)
+
+    def test_non_integer_alpha_refused_on_the_call(self):
+        # 9.0 % 61 is the eligible root 9, so the order check alone would pass 9.0 and leave
+        # the refusal to the first row.
+        params = make_params(5, 61)
+        for alpha in (9.0, 9.5, "9", None):
+            with pytest.raises(TypeError):
+                mapping_table(params, alpha)
 
     def test_first_rows_stream_without_the_whole_table(self):
         # 200,016 rows at p = 1000081; the first ten need only a few powers of alpha.
