@@ -67,7 +67,8 @@ class CrtBasis(namedtuple("CrtBasis", "p q q_inv_mod_p p_inv_mod_q n")):
 
 
 def _garner(r_p: int, r_q: int, p: int, q: int, q_inv: int) -> int:
-    """Garner's x in [0, p*q) with x ≡ r_p (mod p) and x ≡ r_q (mod q), for q*q_inv ≡ 1 (mod p)."""
+    """Garner's x in [0, p*q) with x ≡ r_p (mod p) and x ≡ r_q (mod q), for q*q_inv ≡ 1 (mod p):
+    the join of decode and crt_pair.  roots._crt_join takes the same x regrouped per side."""
     r_q %= q  # reduced first, so the sum lands in [0, p*q)
     return r_q + q * ((r_p - r_q) * q_inv % p)
 
@@ -83,8 +84,9 @@ def sqrtmod(a: int, p: int) -> tuple[int, ...]:
     Returns the pair (r, p-r) sorted ascending for a quadratic residue,
     (0,) for a ≡ 0, and () for a non-residue (a normal outcome, not an
     error).  The pair does not depend on which root is found first, so
-    results are deterministic.
+    results are deterministic.  TypeError for a non-integer p.
     """
+    p = index(p)  # before the plan lookup, whose cache takes 61.0 for 61
     if p < 3 or p % 2 == 0:
         raise InvalidArgument(f"p must be an odd prime, got {p}")
     a %= p
@@ -111,7 +113,7 @@ def element_order(a: int, modulus: int, t: int) -> int:
     if pow(a, t, modulus) != 1:
         raise InvalidArgument(f"{a} is not a {t}-th root of unity mod {modulus}")
     d = t
-    for ell in _prime_factors(t):
+    for ell in _FACTORS[t]:
         if pow(a, d // ell, modulus) == 1:
             d //= ell
     return d
@@ -210,12 +212,23 @@ def _prime_factors(n: int) -> list[int]:
     return factors + [n] if n > 1 else factors
 
 
+# Key set-up reads its arithmetic on t <= T_BOUND and d = gcd(t, p-1) from tables built once:
+# _FACTORS[k] is _prime_factors(k); _COFACTORS[d] holds d/ell for each prime ell | d, ascending
+# in ell; _ORDERS[d][k] is d/gcd(k, d), the order of g**k for g of order d; and _LCM[d][e] is
+# lcm(d, e), the order of the root that roots._crt_join joins from roots of orders d and e.
+_FACTORS = tuple(tuple(_prime_factors(k)) for k in range(T_BOUND + 1))
+_COFACTORS = tuple(tuple(k // ell for ell in dict.fromkeys(f)) for k, f in enumerate(_FACTORS))
+_ORDERS = tuple(tuple(d // math.gcd(k, d) for k in range(d)) for d in range(T_BOUND + 1))
+_LCM = tuple(tuple(math.lcm(d, e) for e in range(T_BOUND + 1)) for d in range(T_BOUND + 1))
+
+
 def _unity(t: int, p: int) -> tuple[int, dict[int, int]]:
     """(z, {g**k: d/gcd(k, d)}): the t-th roots of unity mod the prime p with their orders.
 
     Checks t, then p, for every per-prime build.  d = gcd(t, p-1); z is the first of 2, 3, ...
-    that is an ell-th power for no prime ell | d, tested on g = z**((p-1)/d) by g**(d/ell) ≢ 1;
-    then g has order d, and z**((p-1)/ell**s) generates the ell-Sylow subgroup; z = g = 1 if d = 1.
+    that is an ell-th power for no prime ell | d, tested on g = z**((p-1)/d) by g**(d/ell) ≢ 1
+    for each d/ell in _COFACTORS[d], up to the first that fails; then g has order d, and
+    z**((p-1)/ell**s) generates the ell-Sylow subgroup; z = g = 1 if d = 1.  Orders: _ORDERS[d].
     """
     if not 1 <= t <= T_BOUND:  # before p, which costs a primality check
         raise InvalidArgument(f"t must be in 1..{T_BOUND}, got {t}")
@@ -224,15 +237,16 @@ def _unity(t: int, p: int) -> tuple[int, dict[int, int]]:
     d = math.gcd(t, p - 1)
     z = g = 1
     if d > 1:
-        cofactors = [d // ell for ell in set(_prime_factors(d))]
         for z in range(2, p):
             g = pow(z, (p - 1) // d, p)
-            if 1 not in [pow(g, c, p) for c in cofactors]:
+            for c in _COFACTORS[d]:
+                if pow(g, c, p) == 1:
+                    break
+            else:
                 break
     x, orders = 1, {}
-    for k in range(d):
-        orders[x] = d // math.gcd(k, d)
-        x = x * g % p
+    for order in _ORDERS[d]:
+        orders[x], x = order, x * g % p
     return z, orders
 
 
@@ -263,7 +277,7 @@ def _key_plan(t: int, p: int, q: int | None) -> tuple:
     if q is not None:
         return _key_plan(t, p, None)[0], _key_plan(t, q, None)[0], invmod(q, p)
     z, unity = _unity(t, p)  # checks t and p first; the one search of the plan
-    ells = _prime_factors(t)
+    ells = _FACTORS[t]
     a_part, sylow = 1, []
     for ell in sorted(set(ells)):
         k, s, m = ells.count(ell), 0, p - 1
@@ -322,6 +336,8 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
 
     Some root from _any_root, then moved to a fixed one: among all roots
     x, the one whose (x**(t/l0), x**(t/(l0*l1)), ..., x) is least, for the
-    prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p.
+    prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p; TypeError for a
+    non-integer t or p, before the plan lookup, whose cache takes 61.0 for 61.
     """
+    t, p = index(t), index(p)
     return _canonical_root(c, t, p, _key_plan(t, p, None)[0])

@@ -6,7 +6,6 @@ constructions for degrees 5 and 6 are kept as oracles to check against.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 
 from . import modnum
@@ -83,15 +82,21 @@ def lift_roots(rs_p: RootSet, rs_q: RootSet) -> RootSet:
     """
     if rs_p.t != rs_q.t:
         raise InvalidArgument(f"exponents differ: {rs_p.t} vs {rs_q.t}")
+    if not 1 <= rs_p.t <= modnum.T_BOUND:  # as root_set; modnum._LCM holds orders up to 12
+        raise InvalidArgument(f"t must be in 1..{modnum.T_BOUND}, got {rs_p.t}")
     basis = modnum.CrtBasis.for_primes(rs_p.modulus, rs_q.modulus)  # checks the pair
     return _crt_join(rs_p.t, basis.p, basis.q, rs_p.orders, rs_q.orders)
 
 
 def _crt_join(t: int, p: int, q: int, orders_p: dict, orders_q: dict) -> RootSet:
-    """The root set mod p*q from {root: order} mod p and q, each pair joined by modnum._garner."""
-    q_inv = modnum.invmod(q, p)
-    return _from_orders(p * q, t, {modnum._garner(a, b, p, q, q_inv): math.lcm(d, e)
-                                   for a, d in orders_p.items() for b, e in orders_q.items()})
+    """The root set mod n = p*q from {root: order} mod p and q, by Garner's join regrouped per
+    side: a lifts to A = q*(a*q_inv % p), which is a mod p and 0 mod q, and b to B = b -
+    q*(b*q_inv % p), 0 mod p and b mod q, so (A + B) % n is modnum._garner(a, b, p, q, q_inv) for
+    any representatives.  A joined root costs one addition mod n and an order lookup, no call."""
+    q_inv, n = modnum.invmod(q, p), p * q
+    lifts_p = [(q * (a * q_inv % p), modnum._LCM[d]) for a, d in orders_p.items()]
+    lifts_q = [(b - q * (b * q_inv % p), e) for b, e in orders_q.items()]
+    return _from_orders(n, t, {(A + B) % n: lcm_d[e] for A, lcm_d in lifts_p for B, e in lifts_q})
 
 
 def eligible_generators(rs: RootSet) -> list[int]:

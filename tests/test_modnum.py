@@ -468,7 +468,8 @@ class TestPrimalityOracles:
 
     def test_no_trial_division_past_the_screen(self, monkeypatch):
         # Near 2**32 the checks run one gcd, Miller-Rabin and Pollard's rho; dividing any
-        # n >= 1009**2 by the small primes would be trial division again.
+        # n >= 1009**2 by the small primes would be trial division again.  A root set, a plan and
+        # an order read the factors of t and d from modnum's tables, so they factor nothing.
         prime_factors, seen = modnum._prime_factors, []
 
         def guarded(n):
@@ -481,8 +482,21 @@ class TestPrimalityOracles:
         assert factor_semiprime(65497 * 65479) == (65479, 65497)
         assert factor_semiprime(65521**2) == (65521, 65521)
         assert factor_semiprime(997 * 4307761) == (997, 4307761)  # the screen's gcd is 997
+        assert 997 in seen
+        seen.clear()
         assert root_set(12, 4294967291).roots[:2] == (1, 4294967290)
-        assert 997 in seen and 2 in seen
+        assert modnum._key_plan.__wrapped__(12, 4294967291, None)[0][2] == (1, 4294967290)
+        assert element_order(4294967290, 4294967291, 12) == 2
+        assert seen == []
+
+    def test_tables_equal_their_definitions(self):
+        for k in range(modnum.T_BOUND + 1):
+            assert list(modnum._FACTORS[k]) == modnum._prime_factors(k), k
+            assert modnum._COFACTORS[k] == tuple(k // ell for ell in sorted(set(modnum._FACTORS[k])))
+            assert modnum._ORDERS[k] == tuple(k // math.gcd(j, k) for j in range(k)), k
+            assert modnum._LCM[k] == tuple(math.lcm(k, e) for e in range(modnum.T_BOUND + 1)), k
+        tables = (modnum._FACTORS, modnum._COFACTORS, modnum._ORDERS, modnum._LCM)
+        assert [len(table) for table in tables] == [13] * 4
 
     def test_prime_factors_against_the_definition(self):
         primes = set(reference.primes_below(5000))
@@ -536,6 +550,23 @@ class TestNthRootModPrime:
     def test_exponent_beyond_bound_is_refused(self):
         with pytest.raises(ValueError):
             nth_root_mod_prime(3, 13, 7)
+
+    def test_non_integer_prime_or_exponent_refused_cold_and_warm(self):
+        # The plan cache takes (5, 61.0) for (5, 61), so t and p are checked before the lookup,
+        # and the outcome does not depend on which plans are built.  None is no second prime.
+        calls = (lambda: nth_root_mod_prime(0, 5, 61.0), lambda: nth_root_mod_prime(0, 5.0, 61),
+                 lambda: nth_root_mod_prime(4, 2, None), lambda: sqrtmod(0, 61.0),
+                 lambda: sqrtmod(4, None))
+        modnum._key_plan.cache_clear()
+        try:
+            for warm in (False, True):
+                for i, call in enumerate(calls):
+                    with pytest.raises(TypeError):
+                        call()
+                    assert modnum._key_plan.cache_info().currsize == 2 * warm, (warm, i)
+                assert nth_root_mod_prime(pow(2, 5, 61), 5, 61) == 2 and sqrtmod(4, 61) == (2, 59)
+        finally:
+            modnum._key_plan.cache_clear()
 
 
 def test_roots_agree_with_sympy():

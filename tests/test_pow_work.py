@@ -19,8 +19,8 @@ KEYS = [(t, factors) for t in range(2, 13)
         for factors in (*((p,) for p in PRIMES), *(f for f in corners.FIXED_KEYS if len(f) == 2))]
 # Exponent bits per bit of n.  The worst decode is at (5, 2441406251): 16 calls and 230 bits
 # (7.4 per bit), since 5**3 > 64 leaves its 13 5-Sylow digits two per table lookup.  The worst
-# key set-up is at (12, 2013265921): 141 calls and 1,517 bits (49.1), about half of them in the
-# _unity search that root_set and the plan each run (ROADMAP item 11), so SETUP_K waits on that.
+# key set-up is at (12, 2013265921): 103 calls and 1,403 bits (45.4), 669 of them in the second
+# _unity search, which the plan repeats after root_set (ROADMAP item 11), so SETUP_K waits on that.
 DECODE_K = 8
 SETUP_K = 52
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -140,6 +141,12 @@ class TestLifting:
         with pytest.raises(ValueError):
             lift_roots(roots_bruteforce(5, 11), roots_bruteforce(6, 13))
 
+    def test_exponent_beyond_bound_is_refused(self):
+        # Hand-built sets outside the contract get root_set's refusal, not an error of the join.
+        for t in (0, 13, 24):
+            with pytest.raises(InvalidArgument, match=f"^t must be in 1..12, got {t}$"):
+                lift_roots(RootSet(11, t, (1,), {1: 1}), RootSet(31, t, (1,), {1: 1}))
+
     def test_orders_keyed_like_roots(self):
         # RootSet equality ignores the key order of orders; `powmap roots --format json` prints it.
         for t, p, q in ((5, 11, 17), (5, 31, 11), (5, 7, 3), (6, 13, 7), (12, 37, 73)):
@@ -223,11 +230,13 @@ class TestClosedForm:
         assert root_set(6, 31, 13) == roots_bruteforce(6, 403)
 
     def test_prime_checked_before_any_generator_search(self, monkeypatch):
-        # One primality check per per-prime build, in modnum._unity, before it factors d.
-        def refuse(n):
-            raise AssertionError(f"factored {n} before checking the prime")
+        # One primality check per per-prime build, in modnum._unity, before the search's first
+        # pow; modnum's own global pow is looked up before the builtin.  None of these moduli
+        # needs a pow to be refused.
+        def refuse(*args):
+            raise AssertionError(f"pow{args} before checking the prime")
 
-        monkeypatch.setattr(modnum, "_prime_factors", refuse)
+        monkeypatch.setattr(modnum, "pow", refuse, raising=False)
         for call in (lambda: root_set(4, 21), lambda: root_set(4, 21, 13),
                      lambda: modnum._key_plan(4, 21, None)[0], lambda: modnum._key_plan(4, 21, 13)):
             with pytest.raises(InvalidPrime, match="21 is not prime"):
@@ -237,6 +246,23 @@ class TestClosedForm:
                      lambda: modnum._key_plan(5, 2**32 + 15, 11)):
             with pytest.raises(NotSupported):
                 call()
+
+    def test_join_makes_no_call_per_root(self):
+        # Each side's roots are lifted once and each of the 144 joined roots costs an addition
+        # mod n and a table lookup: 13 Python calls on 3.11; one call per root would exceed 144.
+        calls, previous = [], sys.getprofile()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls.append(frame.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            rs = root_set(12, 65497, 65521)
+        finally:
+            sys.setprofile(previous)
+        assert len(rs.roots) == 144
+        assert len(calls) <= 24, calls
 
     def test_composite_modulus_is_refused(self):
         # 341 = 11*31 has 25 fifth roots of unity; powers of one element would give only 5.
