@@ -84,9 +84,9 @@ def sqrtmod(a: int, p: int) -> tuple[int, ...]:
     Returns the pair (r, p-r) sorted ascending for a quadratic residue,
     (0,) for a ≡ 0, and () for a non-residue (a normal outcome, not an
     error).  The pair does not depend on which root is found first, so
-    results are deterministic.  TypeError for a non-integer p.
+    results are deterministic.  TypeError first for a non-integer a or p.
     """
-    p = index(p)  # before the plan lookup, whose cache takes 61.0 for 61
+    a, p = index(a), index(p)
     if p < 3 or p % 2 == 0:
         raise InvalidArgument(f"p must be an odd prime, got {p}")
     a %= p
@@ -214,22 +214,21 @@ def _prime_factors(n: int) -> list[int]:
 
 # Key set-up reads its arithmetic on t <= T_BOUND and d = gcd(t, p-1) from tables built once:
 # _FACTORS[k] is _prime_factors(k); _COFACTORS[d] holds d/ell for each prime ell | d, ascending
-# in ell; _ORDERS[d][k] is d/gcd(k, d), the order of g**k for g of order d; and _LCM[d][e] is
-# lcm(d, e), the order of the root that roots._crt_join joins from roots of orders d and e.
+# in ell; _ORDERS[d][k] is d/gcd(k, d), the order of g**k for g of order d; _LCM[d][e] is
+# lcm(d, e), the order of the root that roots._crt_join joins from roots of orders d and e; and
+# _EXPS[t] is t/l0, t/(l0*l1), ..., 1 for the prime factors l0 <= l1 <= ... of t.
 _FACTORS = tuple(tuple(_prime_factors(k)) for k in range(T_BOUND + 1))
 _COFACTORS = tuple(tuple(k // ell for ell in dict.fromkeys(f)) for k, f in enumerate(_FACTORS))
 _ORDERS = tuple(tuple(d // math.gcd(k, d) for k in range(d)) for d in range(T_BOUND + 1))
 _LCM = tuple(tuple(math.lcm(d, e) for e in range(T_BOUND + 1)) for d in range(T_BOUND + 1))
+_EXPS = tuple(tuple(k // math.prod(f[:i + 1]) for i in range(len(f)))
+              for k, f in enumerate(_FACTORS))
 
 
-def _unity(t: int, p: int) -> tuple[int, dict[int, int]]:
-    """(z, {g**k: d/gcd(k, d)}): the t-th roots of unity mod the prime p with their orders.
-
-    Checks t, then p, for every per-prime build.  d = gcd(t, p-1); z is the first of 2, 3, ...
-    that is an ell-th power for no prime ell | d, tested on g = z**((p-1)/d) by g**(d/ell) ≢ 1
-    for each d/ell in _COFACTORS[d], up to the first that fails; then g has order d, and
-    z**((p-1)/ell**s) generates the ell-Sylow subgroup; z = g = 1 if d = 1.  Orders: _ORDERS[d].
-    """
+def _unity(t: int, p: int) -> tuple[int, int]:
+    """(z, g) with g = z**((p-1)/d) of order d = gcd(t, p-1); checks t, then that p is prime.
+    z is the first of 2, 3, ... with g**(d/ell) ≢ 1 for each d/ell in _COFACTORS[d], so no ell-th
+    power, and z**((p-1)/ell**s) generates the ell-Sylow subgroup; z = g = 1 if d = 1."""
     if not 1 <= t <= T_BOUND:  # before p, which costs a primality check
         raise InvalidArgument(f"t must be in 1..{T_BOUND}, got {t}")
     if not is_prime(p):  # before any search; NotSupported for p >= 2**32
@@ -244,40 +243,47 @@ def _unity(t: int, p: int) -> tuple[int, dict[int, int]]:
                     break
             else:
                 break
+    return z, g
+
+
+def _orders(t: int, p: int, g: int) -> dict[int, int]:
+    """{g**k: d/gcd(k, d)} for k < d = gcd(t, p-1), the t-th roots of unity mod p by order."""
     x, orders = 1, {}
-    for order in _ORDERS[d]:
+    for order in _ORDERS[math.gcd(t, p - 1)]:
         orders[x], x = order, x * g % p
-    return z, orders
+    return orders
 
 
 @functools.lru_cache(maxsize=4096)
 def _key_plan(t: int, p: int, q: int | None) -> tuple:
-    """What a t-th root mod each prime of the key needs that does not depend on the cipher:
-    (plan_p, None, None) for a prime key, (plan_p, plan_q, q**-1 mod p) for a semiprime.
+    """(entry_p, None, None) for a prime key, (entry_p, entry_q, q**-1 mod p) for a semiprime.
 
-    Write p-1 = A*B with A made only of primes dividing t.  p's plan is (b_exp, sylow, unity, exps):
-    - c**b_exp is a t-th root of the part of c whose order divides B;
-    - sylow has one entry (ell, s, m, g_inv, table, gw, ell**k, width) per
-      prime ell | t with ell**s || p-1 and ell**k || t, s > k: m = (p-1)/ell**s,
-      g = z**m for _unity's z generates the ell-Sylow subgroup, width is the
-      largest w <= s with ell**w <= 64, table = {gamma**j: j} for j < ell**w
-      and gamma = g**(ell**(s-w)), and gw = g**v with v the inverse of
-      m*t/ell**k mod ell**(s-k);
-    - unity holds the gcd(t, p-1) t-th roots of unity;
-    - exps is t/l0, t/(l0*l1), ..., 1 for the prime factors l0 <= l1 <= ...
-      of t.
-    Checks p != q (InvalidPrime), then t, p, q.  Built at a key's first root, not at key set-up;
-    a semiprime reads its plans from the prime entries, so each (t, p) plan is built once and
-    shared by every key that holds p.  At most 4096 entries: a plan takes at most about 7.9 KB
-    (t = 12, 2**6*3**3 | p-1), and a semiprime entry 0.2 KB more and keeps its two plans alive,
-    so at most about 65 MB; a wide-keys round's 806 keys take 1,472 entries and 1.35 MB.
+    A prime entry is [z, g, part] from the prime's one _unity search; part is None until its first
+    root stores _root_part's there.  Semiprimes read the prime keys' entries, so each (t, p) search
+    runs once while cached.  Checks p != q (InvalidPrime), p*q < 2**32 (NotSupported), t, p, q.
+    At most 4096 entries: a prime entry with its part takes at most 7.2 KB (t = 12, 2**6*3**3 |
+    p-1), a semiprime entry 0.2 KB and keeps two alive, so about 60 MB.  One round trip per key
+    of wide-keys seed 1 leaves 1,465 entries and 1.15 MB (1.25 MB with roots of unity in them).
     """
-    if p == q:  # first, as root_set refuses it
+    if p == q:  # first, as make_params refuses it
         raise InvalidPrime("p and q must differ")
-    if q is not None:
-        return _key_plan(t, p, None)[0], _key_plan(t, q, None)[0], invmod(q, p)
-    z, unity = _unity(t, p)  # checks t and p first; the one search of the plan
-    ells = _FACTORS[t]
+    if q is None:
+        return [*_unity(t, p), None], None, None  # checks t and p first; the one search
+    if p * q >= FACTOR_BOUND:
+        raise NotSupported(f"{p * q} exceeds the 2**32 desk-scale bound")
+    return _key_plan(t, p, None)[0], _key_plan(t, q, None)[0], invmod(q, p)
+
+
+def _root_part(t: int, p: int, entry: list) -> tuple:
+    """(b_exp, sylow), stored as the part of p's prime entry.  With p-1 = A*B, A made only of
+    primes dividing t:
+    - c**b_exp is a t-th root of the part of c whose order divides B;
+    - sylow has one entry (ell, s, m, g_inv, table, gw, ell**k, width) per prime ell | t with
+      ell**s || p-1 and ell**k || t, s > k: m = (p-1)/ell**s, g = z**m generates the ell-Sylow
+      subgroup, width is the largest w <= s with ell**w <= 64, table = {gamma**j: j} for
+      j < ell**w and gamma = g**(ell**(s-w)), and gw = g**v for v = (m*t/ell**k)**-1 mod ell**(s-k).
+    """
+    z, ells = entry[0], _FACTORS[t]
     a_part, sylow = 1, []
     for ell in sorted(set(ells)):
         k, s, m = ells.count(ell), 0, p - 1
@@ -293,23 +299,21 @@ def _key_plan(t: int, p: int, q: int | None) -> tuple:
                 table[x], x = j, x * gamma % p
             v = pow(m * t // ell**k, -1, ell ** (s - k))
             sylow.append((ell, s, m, pow(g, -1, p), table, pow(g, v, p), ell**k, width))
-    b_exp = a_part * pow(a_part * t, -1, (p - 1) // a_part)
-    exps = tuple(t // math.prod(ells[:i + 1]) for i in range(len(ells)))
-    return (b_exp, tuple(sylow), tuple(unity), exps), None, None
+    entry[2] = a_part * pow(a_part * t, -1, (p - 1) // a_part), tuple(sylow)
+    return entry[2]
 
 
-def _any_root(c: int, t: int, p: int, plan: tuple) -> int | None:
+def _any_root(c: int, t: int, p: int, entry: list) -> int | None:
     """Some x with x**t ≡ c (mod the prime p), or None when c has no t-th root.
 
-    From p's plan (_key_plan(t, p, None)[0]): one pow for the part of the group
-    prime to t, and for each Sylow subgroup the Pohlig-Hellman digits of a discrete log, read
-    width digits per lookup in the plan's table of at most 64 entries (Adleman-Manders-Miller;
-    Bernstein 2001).  Which root comes out is whatever the plan gives.
+    From the root part of p's prime entry: one pow for the part of the group prime to t, and for
+    each Sylow subgroup the Pohlig-Hellman digits of a discrete log, width digits per lookup in a
+    table of at most 64 entries (Adleman-Manders-Miller; Bernstein 2001); any root will do.
     """
-    b_exp, sylow, _, _ = plan
     c %= p
     if c == 0:
         return 0
+    b_exp, sylow = entry[2] or _root_part(t, p, entry)
     x = pow(c, b_exp, p)
     for ell, s, m, g_inv, table, gw, ell_k, width in sylow:
         h, e = pow(c, m, p), 0
@@ -322,13 +326,13 @@ def _any_root(c: int, t: int, p: int, plan: tuple) -> int | None:
     return x if pow(x, t, p) == c else None
 
 
-def _canonical_root(c: int, t: int, p: int, plan: tuple) -> int | None:
-    """nth_root_mod_prime's root, from p's plan as _any_root takes it."""
-    x = _any_root(c, t, p, plan)
+def _canonical_root(c: int, t: int, p: int, entry: list) -> int | None:
+    """nth_root_mod_prime's root, from p's prime entry as _any_root takes it."""
+    x = _any_root(c, t, p, entry)
     if not x:  # None, or 0 for c ≡ 0
         return x
-    _, _, unity, exps = plan
-    return min((x * w % p for w in unity), key=lambda r: [pow(r, e, p) for e in exps])
+    return min((x * w % p for w in _orders(t, p, entry[1])),
+               key=lambda r: [pow(r, e, p) for e in _EXPS[t]])
 
 
 def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
@@ -336,8 +340,8 @@ def nth_root_mod_prime(c: int, t: int, p: int) -> int | None:
 
     Some root from _any_root, then moved to a fixed one: among all roots
     x, the one whose (x**(t/l0), x**(t/(l0*l1)), ..., x) is least, for the
-    prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p; TypeError for a
-    non-integer t or p, before the plan lookup, whose cache takes 61.0 for 61.
+    prime factors l0 <= l1 <= ... of t.  InvalidPrime for a composite p; TypeError first for a
+    non-integer c, t or p, as c ≡ 0 takes a shortcut and the plan's cache takes 61.0 for 61.
     """
-    t, p = index(t), index(p)
+    c, t, p = index(c), index(t), index(p)
     return _canonical_root(c, t, p, _key_plan(t, p, None)[0])

@@ -97,20 +97,16 @@ def run_session(params: Params, m: int) -> Transcript:
 
     Records what each side would tabulate: the sender's sorted candidate
     list, rank and cipher; the receiver's inverse exponent (when
-    inverse_exponent finds one), extracted root, reconstructed list and
-    decoded message.
+    inverse_exponent finds one), extracted root and reconstructed list, and
+    the message that transform.decode returns for the received packet.
     """
     rs = roots.root_set(params.t, params.p, params.q)
     pkt = transform.encode(m, params, rs)
     line = serialize_packet(pkt)
     received = parse_packet(line)
 
-    alice = (
-        ("message", m),
-        ("candidates", transform.candidate_set(m, rs)),
-        ("rank", pkt.rank),
-        ("cipher", pkt.c),
-    )
+    alice = (("message", m), ("candidates", transform.candidate_set(m, rs)), ("rank", pkt.rank),
+             ("cipher", pkt.c))
 
     try:
         a, res = transform.inverse_exponent(params.t, params.phi)
@@ -119,18 +115,12 @@ def run_session(params: Params, m: int) -> Transcript:
     else:
         bob = [("a", a), ("res", res)]
     root = transform.extract_root(received.c, params)
-    cands = transform.candidate_set(root, rs)
-    decoded = cands[received.rank - 1]  # encode's rank is always in 1..len(cands)
-    bob += [("root", root), ("candidates", cands), ("decoded", decoded)]
+    decoded = transform.decode(received, params, rs)  # the receive path of every packet
+    bob += [("root", root), ("candidates", transform.candidate_set(root, rs)), ("decoded", decoded)]
 
-    kind = "prime" if params.q is None else "semiprime"
-    summary = (
-        f"t={params.t} n={params.n} phi={params.phi} "
-        f"class={params.div_class.value} kind={kind}"
-    )
+    summary = (f"t={params.t} n={params.n} phi={params.phi} class={params.div_class.value} "
+               f"kind={'prime' if params.q is None else 'semiprime'}")
     note = "only the packet travels; the receiver rebuilds the root set from the private factors"
     if rs.roots == (1,):
         note += "; the power map is one-to-one here, so the candidate set is a single value"
-    return Transcript(
-        summary, note, rs.roots, alice, pkt, line, tuple(bob), decoded, decoded == m
-    )
+    return Transcript(summary, note, rs.roots, alice, pkt, line, tuple(bob), decoded, decoded == m)

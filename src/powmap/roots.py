@@ -7,9 +7,10 @@ constructions for degrees 5 and 6 are kept as oracles to check against.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import index
 
 from . import modnum
-from .errors import InvalidArgument, InvalidPrime
+from .errors import InvalidArgument, NotSupported
 
 
 class RootSet(namedtuple("RootSet", "modulus t roots orders")):
@@ -85,15 +86,17 @@ def lift_roots(rs_p: RootSet, rs_q: RootSet) -> RootSet:
     if not 1 <= rs_p.t <= modnum.T_BOUND:  # as root_set; modnum._LCM holds orders up to 12
         raise InvalidArgument(f"t must be in 1..{modnum.T_BOUND}, got {rs_p.t}")
     basis = modnum.CrtBasis.for_primes(rs_p.modulus, rs_q.modulus)  # checks the pair
-    return _crt_join(rs_p.t, basis.p, basis.q, rs_p.orders, rs_q.orders)
+    if basis.n >= modnum.FACTOR_BOUND:  # as make_params and root_set refuse it
+        raise NotSupported(f"{basis.n} exceeds the 2**32 desk-scale bound")
+    return _crt_join(rs_p.t, basis.p, basis.q, basis.q_inv_mod_p, rs_p.orders, rs_q.orders)
 
 
-def _crt_join(t: int, p: int, q: int, orders_p: dict, orders_q: dict) -> RootSet:
-    """The root set mod n = p*q from {root: order} mod p and q, by Garner's join regrouped per
-    side: a lifts to A = q*(a*q_inv % p), which is a mod p and 0 mod q, and b to B = b -
-    q*(b*q_inv % p), 0 mod p and b mod q, so (A + B) % n is modnum._garner(a, b, p, q, q_inv) for
-    any representatives.  A joined root costs one addition mod n and an order lookup, no call."""
-    q_inv, n = modnum.invmod(q, p), p * q
+def _crt_join(t: int, p: int, q: int, q_inv: int, orders_p: dict, orders_q: dict) -> RootSet:
+    """The root set mod n = p*q from {root: order} mod p and q, by Garner's join for q*q_inv ≡ 1
+    (mod p) regrouped per side: a lifts to A = q*(a*q_inv % p), a mod p and 0 mod q, and b to
+    B = b - q*(b*q_inv % p), 0 mod p and b mod q, so (A + B) % n is modnum._garner(a, b, p, q,
+    q_inv) for any representatives.  A joined root costs one addition mod n and an order lookup."""
+    n = p * q
     lifts_p = [(q * (a * q_inv % p), modnum._LCM[d]) for a, d in orders_p.items()]
     lifts_q = [(b - q * (b * q_inv % p), e) for b, e in orders_q.items()]
     return _from_orders(n, t, {(A + B) % n: lcm_d[e] for A, lcm_d in lifts_p for B, e in lifts_q})
@@ -106,9 +109,11 @@ def eligible_generators(rs: RootSet) -> list[int]:
 
 
 def root_set(t: int, p: int, q: int | None = None) -> RootSet:
-    """The full root set for x**t ≡ 1 mod the prime p (or mod p*q for a prime q)."""
+    """The full root set for x**t ≡ 1 mod the prime p (or mod p*q for a prime q), from the key
+    plan's entries and q**-1 mod p, which refuses the key; TypeError first for a non-integer."""
+    t, p, q = index(t), index(p), None if q is None else index(q)
+    entry_p, entry_q, q_inv = modnum._key_plan(t, p, q)
+    orders_p = modnum._orders(t, p, entry_p[1])
     if q is None:
-        return _from_orders(p, t, modnum._unity(t, p)[1])  # which checks t, then p
-    if p == q:
-        raise InvalidPrime("p and q must differ")
-    return _crt_join(t, p, q, modnum._unity(t, p)[1], modnum._unity(t, q)[1])
+        return _from_orders(p, t, orders_p)
+    return _crt_join(t, p, q, q_inv, orders_p, modnum._orders(t, q, entry_q[1]))

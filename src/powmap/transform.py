@@ -138,17 +138,17 @@ def extract_root(c: int, params: Params) -> int:
 
 
 def _root_per_prime(c: int, params: Params, root_mod_prime) -> int:
-    """A t-th root of c mod n: root_mod_prime(c % f, t, f, plan of f) per prime factor f from one
+    """A t-th root of c mod n: root_mod_prime(c % f, t, f, entry of f) per prime factor f from one
     modnum._key_plan lookup, joined in Garner's form with its q**-1 mod p for a semiprime.  The
     key plan refuses a bad key (InvalidPrime if p == q); then NotResidue where one has none."""
     t, p, q = params.t, params.p, params.q
-    plan_p, plan_q, q_inv = modnum._key_plan(t, p, q)
-    r_p = root_mod_prime(c % p, t, p, plan_p)  # checked there: r_p**t ≡ c (mod p)
+    entry_p, entry_q, q_inv = modnum._key_plan(t, p, q)
+    r_p = root_mod_prime(c % p, t, p, entry_p)  # checked there: r_p**t ≡ c (mod p)
     if r_p is None:
         raise NotResidue(f"{c} has no {t}-th root mod {p}")
     if q is None:
         return r_p
-    r_q = root_mod_prime(c % q, t, q, plan_q)
+    r_q = root_mod_prime(c % q, t, q, entry_q)
     if r_q is None:
         raise NotResidue(f"{c} has no {t}-th root mod {q}")
     return modnum._garner(r_p, r_q, p, q, q_inv)
@@ -186,7 +186,7 @@ def decode(pkt: Packet, params: Params, rs: RootSet) -> int:
     Any root will do, since all give the same candidate set, so one route
     serves every key: modnum._any_root per prime factor, joined in Garner's
     form, from the key's cached plan (modnum._key_plan), which holds both
-    primes' root plans and q**-1 mod p.  A root set of another key is
+    primes' entries and q**-1 mod p.  A root set of another key is
     InvalidArgument, a cipher outside 0..n-1 FieldOutOfRange as on the wire,
     a non-unit cipher NotCoprime, a unit with no t-th root NotResidue.
     """

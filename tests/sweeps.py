@@ -14,11 +14,12 @@ does not collect it.  Named key groups are from ``corners.py``.
 - ``root_set``: every ``t = 1..12`` over prime keys (primes below 400, large
   primes, composites) and ordered semiprime pairs; the ``repr`` shows
   ``roots`` and ``orders.items()`` in their stored order.
-- ``_root_plan``: the per-prime root plan of ``modnum``, read as
-  ``_key_plan(t, p, None)[0]``, the plan that every key holding ``p``
-  shares, for ``t = 1..12`` over primes below 700, large primes, and primes
-  with deep 2-, 3-, 5-, 7- and 11-Sylow subgroups, so that every width of
-  the plan's digit tables is pinned.
+- ``_root_plan``: the per-prime entry of ``modnum``'s key plan, read as
+  ``_key_plan(t, p, None)[0]``, the entry that every key holding ``p``
+  shares, with its root part built: ``(z, g, b_exp, sylow)``, for
+  ``t = 1..12`` over primes below 700, large primes, and primes with deep
+  2-, 3-, 5-, 7- and 11-Sylow subgroups, so that every width of the root
+  part's digit tables is pinned.
 - ``roots``: ``nth_root_mod_prime`` and ``sqrtmod`` over every residue of
   each odd prime below 700, ``nth_root_mod_prime`` on seeded ciphers at
   large primes and at primes with deep 2-, 3-, 5-, 7- and 11-Sylow
@@ -35,7 +36,8 @@ import hashlib
 import random
 
 from powmap import extract_root, make_params, root_set
-from powmap.modnum import _key_plan, factor_semiprime, is_prime, nth_root_mod_prime, sqrtmod
+from powmap.modnum import (_key_plan, _root_part, factor_semiprime, is_prime, nth_root_mod_prime,
+                           sqrtmod)
 
 from corners import DEEP_PRIMES, EXTRACT_KEYS, LARGE_PRIMES, ODD_DEEP_PRIMES, PRIME_CASES
 from reference import primes_below
@@ -73,7 +75,8 @@ def root_set_digest() -> str:
 
 
 def _root_plan(t: int, p: int) -> tuple:
-    return _key_plan(t, p, None)[0]
+    entry = _key_plan(t, p, None)[0]
+    return (*entry[:2], *(entry[2] or _root_part(t, p, entry)))
 
 
 def root_plan_digest() -> str:

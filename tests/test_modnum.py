@@ -249,18 +249,27 @@ def _scan_order(x, p):
     return k
 
 
+def _root_part(t, p):
+    """The root part (b_exp, sylow) of p's prime entry, built if no root has built it yet."""
+    entry = modnum._key_plan(t, p, None)[0]
+    return entry[2] or modnum._root_part(t, p, entry)
+
+
 def _sylow_generators(t, p):
-    """{ell: g} for the Sylow generators g of the plan for (t, p)."""
-    return {entry[0]: pow(entry[3], -1, p) for entry in modnum._key_plan(t, p, None)[0][1]}
+    """{ell: g} for the Sylow generators g of the root part for (t, p)."""
+    return {entry[0]: pow(entry[3], -1, p) for entry in _root_part(t, p)[1]}
 
 
 class TestUnityGenerator:
     def test_matches_power_scan_oracle(self):
+        # The prime entry keeps (z, g); the roots of unity and their orders are g's powers.
         for p in reference.primes_below(2000):
             for t in range(1, 13):
                 d = math.gcd(t, p - 1)
-                z, orders = _unity(t, p)
-                assert pow(z, (p - 1) // d, p) == _first_element_of_order(d, p), (t, p)
+                z, g = _unity(t, p)
+                assert g == pow(z, (p - 1) // d, p) == _first_element_of_order(d, p), (t, p)
+                assert modnum._key_plan(t, p, None)[0][:2] == [z, g]
+                orders = modnum._orders(t, p, g)
                 assert len(orders) == d
                 assert orders == {x: _scan_order(x, p) for x in orders}, (t, p)
                 assert all(pow(x, t, p) == 1 for x in orders)
@@ -268,7 +277,7 @@ class TestUnityGenerator:
     def test_plan_sylow_generators_have_exact_order(self):
         for p in reference.primes_below(2000):
             for t in range(1, 13):
-                for ell, s, _, g_inv, *_ in modnum._key_plan(t, p, None)[0][1]:
+                for ell, s, _, g_inv, *_ in _root_part(t, p)[1]:
                     assert _scan_order(pow(g_inv, -1, p), p) == ell**s, (t, p, ell)
 
     def test_sylow_orders_of_deep_primes(self):
@@ -290,13 +299,51 @@ class TestUnityGenerator:
         modnum._key_plan.cache_clear()
         try:
             # 4294964520 = 2**3 * 3**3 * 5 * 7 * 11 * 51647: deep 2- and 3-Sylow subgroups.
-            assert len(modnum._key_plan(12, 4294964521, None)[0][1]) == 2
-            plan_p, plan_q, q_inv = modnum._key_plan(12, 65537, 40961)
-            assert (len(plan_p[1]), len(plan_q[1]), 40961 * q_inv % 65537) == (1, 1, 1)
+            entry = modnum._key_plan(12, 4294964521, None)[0]
+            assert entry[2] is None  # the Sylow tables wait for the prime's first root
+            assert nth_root_mod_prime(pow(5, 12, 4294964521), 12, 4294964521) is not None
+            assert len(entry[2][1]) == 2
+            entry_p, entry_q, q_inv = modnum._key_plan(12, 65537, 40961)
+            assert (entry_p[2], entry_q[2], 40961 * q_inv % 65537) == (None, None, 1)
+            assert (len(_root_part(12, 65537)[1]), len(_root_part(12, 40961)[1])) == (1, 1)
             modnum._key_plan(12, 65537, 40961)  # the second lookup builds nothing
         finally:
             modnum._key_plan.cache_clear()
         assert calls == [(12, 4294964521), (12, 65537), (12, 40961)]
+
+    def test_set_up_and_first_decode_search_each_prime_once(self, monkeypatch):
+        # make_params, root_set and the first decode of keys that share primes: one _unity per
+        # (t, prime) and one invmod(q, p) per semiprime key, both read from the key plan.
+        # lift_roots joins with its basis's q**-1 mod p: the basis's two inverses and no third.
+        searches, inverses, unity, inverse = [], [], modnum._unity, modnum.invmod
+
+        def counted_unity(t, p):
+            searches.append((t, p))
+            return unity(t, p)
+
+        def counted_invmod(a, modulus):
+            inverses.append((a, modulus))
+            return inverse(a, modulus)
+
+        monkeypatch.setattr(modnum, "_unity", counted_unity)
+        monkeypatch.setattr(modnum, "invmod", counted_invmod)
+        modnum._key_plan.cache_clear()
+        try:
+            for t, p, q in ((12, 65537, 40961), (12, 40961, 65521), (12, 65537, None),
+                            (12, 65521, 65537), (6, 65537, 40961), (6, 40961, None)):
+                params, rs = powmap.make_params(t, p, q), root_set(t, p, q)
+                assert powmap.decode(powmap.encode(12345, params, rs), params, rs) == 12345
+            assert sorted(searches) == [(6, 40961), (6, 65537), (12, 40961), (12, 65521),
+                                        (12, 65537)]
+            assert sorted(inverses) == [(40961, 65537), (40961, 65537), (65521, 40961),
+                                        (65537, 65521)]
+            inverses.clear()
+            lifted = powmap.lift_roots(root_set(12, 65537), root_set(12, 40961))
+            assert lifted == root_set(12, 65537, 40961)
+            assert inverses == [(40961, 65537), (65537, 40961)]
+            assert len(searches) == 5
+        finally:
+            modnum._key_plan.cache_clear()
 
     def test_keys_share_the_plan_of_a_prime(self, monkeypatch):
         # 61 is a factor of two keys and a prime modulus of its own: one search and one plan.
@@ -374,13 +421,13 @@ class TestDigitChunks:
         two_entries = set()
         for p in filter(None, primes):
             for t in range(2, 13):
-                d, plan = math.gcd(t, p - 1), modnum._key_plan(t, p, None)[0]
-                if len(plan[1]) == 2:
+                d, entry = math.gcd(t, p - 1), modnum._key_plan(t, p, None)[0]
+                if len(_root_part(t, p)[1]) == 2:
                     two_entries.add(t)
                 ciphers = [rng.randrange(1, p) for _ in range(10)]
                 ciphers += [pow(rng.randrange(1, p), t, p) for _ in range(10)]
                 for c in ciphers:
-                    x = _any_root(c, t, p, plan)
+                    x = _any_root(c, t, p, entry)
                     assert (x is not None) == (pow(c, (p - 1) // d, p) == 1), (c, t, p)
                     assert x is None or pow(x, t, p) == c, (c, t, p)
         assert two_entries == {6, 10, 12}
@@ -468,8 +515,9 @@ class TestPrimalityOracles:
 
     def test_no_trial_division_past_the_screen(self, monkeypatch):
         # Near 2**32 the checks run one gcd, Miller-Rabin and Pollard's rho; dividing any
-        # n >= 1009**2 by the small primes would be trial division again.  A root set, a plan and
-        # an order read the factors of t and d from modnum's tables, so they factor nothing.
+        # n >= 1009**2 by the small primes would be trial division again.  A root set, a prime
+        # entry with its root part and an order read the factors of t and d from modnum's tables,
+        # so they factor nothing.
         prime_factors, seen = modnum._prime_factors, []
 
         def guarded(n):
@@ -485,7 +533,9 @@ class TestPrimalityOracles:
         assert 997 in seen
         seen.clear()
         assert root_set(12, 4294967291).roots[:2] == (1, 4294967290)
-        assert modnum._key_plan.__wrapped__(12, 4294967291, None)[0][2] == (1, 4294967290)
+        entry = modnum._key_plan.__wrapped__(12, 4294967291, None)[0]
+        assert modnum._orders(12, 4294967291, entry[1]) == {1: 1, 4294967290: 2}
+        assert modnum._root_part(12, 4294967291, entry) == entry[2]
         assert element_order(4294967290, 4294967291, 12) == 2
         assert seen == []
 
@@ -554,9 +604,11 @@ class TestNthRootModPrime:
     def test_non_integer_prime_or_exponent_refused_cold_and_warm(self):
         # The plan cache takes (5, 61.0) for (5, 61), so t and p are checked before the lookup,
         # and the outcome does not depend on which plans are built.  None is no second prime.
+        # A residue is checked before the shortcut for c ≡ 0, which would return 0 for 0.0.
         calls = (lambda: nth_root_mod_prime(0, 5, 61.0), lambda: nth_root_mod_prime(0, 5.0, 61),
                  lambda: nth_root_mod_prime(4, 2, None), lambda: sqrtmod(0, 61.0),
-                 lambda: sqrtmod(4, None))
+                 lambda: sqrtmod(4, None), lambda: nth_root_mod_prime(0.0, 5, 61),
+                 lambda: nth_root_mod_prime(61.0, 5, 61), lambda: sqrtmod(0.0, 61))
         modnum._key_plan.cache_clear()
         try:
             for warm in (False, True):

@@ -19,10 +19,10 @@ KEYS = [(t, factors) for t in range(2, 13)
         for factors in (*((p,) for p in PRIMES), *(f for f in corners.FIXED_KEYS if len(f) == 2))]
 # Exponent bits per bit of n.  The worst decode is at (5, 2441406251): 16 calls and 230 bits
 # (7.4 per bit), since 5**3 > 64 leaves its 13 5-Sylow digits two per table lookup.  The worst
-# key set-up is at (12, 2013265921): 103 calls and 1,403 bits (45.4), 669 of them in the second
-# _unity search, which the plan repeats after root_set (ROADMAP item 11), so SETUP_K waits on that.
+# key set-up is at (12, 2013265921): 56 calls and 734 bits (23.7), with one _unity search per
+# prime, shared by the root set and the key plan, and the prime's root part built at its first root.
 DECODE_K = 8
-SETUP_K = 52
+SETUP_K = 24
 
 
 def _counted(monkeypatch, fn, *args):
@@ -44,10 +44,12 @@ def _counted(monkeypatch, fn, *args):
 
 
 def _set_up(t, factors):
-    """A receiver's key set-up: the checked key, its root set and its key plan, which holds one
-    root plan per prime and, for a semiprime, the one q**-1 mod p of the Garner join."""
+    """A receiver's key set-up: the checked key and its root set, which reads its key plan: one
+    entry per prime from the prime's one search and, for a semiprime, the one q**-1 mod p of the
+    Garner join.  Then each prime's first root, which builds the root part of its entry."""
     params, rs = make_params(t, *factors), root_set(t, *factors)
-    modnum._key_plan(params.t, params.p, params.q)
+    for f, entry in zip(factors, modnum._key_plan(params.t, params.p, params.q)):
+        modnum._root_part(t, f, entry)
     return params, rs
 
 

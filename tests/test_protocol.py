@@ -297,6 +297,19 @@ class TestRunSession:
             assert run_session(make_params(*key), m).matched
             assert len(calls) == 1, key
 
+    def test_decodes_through_the_packet_receive_path(self, monkeypatch):
+        # The decoded message is transform.decode's answer for the received packet, once per
+        # session; Bob's shown root and candidates still come from extract_root.
+        calls, decode = [], transform.decode
+        monkeypatch.setattr(transform, "decode", lambda *a: calls.append(a) or decode(*a))
+        for key, m in (((5, 61), 28), ((5, 11, 17), 3), ((5, 31, 11), 51), ((6, 13), 2)):
+            calls.clear()
+            tr = run_session(make_params(*key), m)
+            assert tr.decoded == m and tr.matched, key
+            assert [pkt for pkt, _, _ in calls] == [tr.packet], key
+            bob = _steps(tr.bob_steps)
+            assert bob["candidates"][tr.packet.rank - 1] == bob["decoded"] == m, key
+
     def test_transcript_header_mentions_out_of_band_setup(self):
         tr = run_session(make_params(5, 61), 28)
         assert "packet" in tr.setup_note

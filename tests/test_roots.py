@@ -10,6 +10,7 @@ from powmap import (
     RootSet,
     eligible_generators,
     lift_roots,
+    make_params,
     quintic_roots_prime,
     root_set,
     roots_bruteforce,
@@ -247,9 +248,44 @@ class TestClosedForm:
             with pytest.raises(NotSupported):
                 call()
 
+    def test_moduli_of_2_32_and_above_are_refused(self):
+        # Both primes lie below 2**32 and their product does not: make_params's refusal, after
+        # p == q.  65521 * 65537 lies just below the bound.
+        big = r"^18446743979220271189 exceeds the 2\*\*32 desk-scale bound$"
+        for call in (lambda: make_params(2, 4294967291, 4294967279),
+                     lambda: root_set(2, 4294967291, 4294967279),
+                     lambda: modnum._key_plan(2, 4294967291, 4294967279),
+                     lambda: lift_roots(root_set(2, 4294967291), root_set(2, 4294967279))):
+            with pytest.raises(NotSupported, match=big):
+                call()
+        for call in (lambda: root_set(2, 65537, 65537),
+                     lambda: lift_roots(root_set(2, 65537), root_set(2, 65537))):
+            with pytest.raises(InvalidPrime, match="^p and q must differ$"):
+                call()
+        assert len(root_set(2, 65521, 65537).roots) == 4
+        assert lift_roots(root_set(2, 65521), root_set(2, 65537)) == root_set(2, 65521, 65537)
+
+    def test_non_integer_arguments_refused_cold_and_warm(self):
+        # The key plan's cache takes (5, 61.0) for (5, 61), so root_set takes operator.index of
+        # t, p and q before its lookup, and the outcome does not depend on which keys are set up.
+        calls = (lambda: root_set(5.0, 61), lambda: root_set(5, 61.0),
+                 lambda: root_set(5, 11, 61.0), lambda: root_set(5, "61"))
+        modnum._key_plan.cache_clear()
+        try:
+            for warm in (False, True):
+                for call in calls:
+                    with pytest.raises(TypeError):
+                        call()
+                assert root_set(5, 11, 61) == lift_roots(root_set(5, 11), root_set(5, 61))
+            rs = root_set(True, 61)  # the record holds the int that operator.index gives
+            assert rs.roots == (1,) and type(rs.t) is int
+        finally:
+            modnum._key_plan.cache_clear()
+
     def test_join_makes_no_call_per_root(self):
         # Each side's roots are lifted once and each of the 144 joined roots costs an addition
-        # mod n and a table lookup: 13 Python calls on 3.11; one call per root would exceed 144.
+        # mod n and a table lookup: 18 Python calls on 3.11 with a cold key plan, 10 with a warm
+        # one; one call per root would exceed 144.
         calls, previous = [], sys.getprofile()
 
         def profile(frame, event, arg):
